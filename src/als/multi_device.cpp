@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "als/reference.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "sparse/convert.hpp"
 
@@ -84,20 +83,8 @@ MultiDeviceAls::MultiDeviceAls(const Csr& train, const AlsOptions& options,
       fault_model_(std::max<std::size_t>(1, profiles.size()), elastic.faults) {
   ALSMF_CHECK_MSG(!profiles.empty(), "need at least one device profile");
   row_solver_ = make_row_solver(options_);
-  const auto n = profiles.size();
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   for (auto& p : profiles) {
-    // Coordinator threads launch shards concurrently, and the global pool
-    // rejects concurrent parallel_for — so with several devices each one
-    // gets a private pool with its share of the hardware threads. A single
-    // device keeps the global pool (the exact synchronous configuration).
-    ThreadPool* pool = nullptr;
-    if (n > 1) {
-      pools_.push_back(std::make_unique<ThreadPool>(
-          std::max(1u, hw / static_cast<unsigned>(n))));
-      pool = pools_.back().get();
-    }
-    devices_.push_back(std::make_unique<devsim::Device>(std::move(p), pool));
+    devices_.push_back(std::make_unique<devsim::Device>(std::move(p)));
   }
   health_.resize(devices_.size());
   report_.devices_configured = static_cast<int>(devices_.size());
@@ -243,29 +230,16 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
 std::vector<MultiDeviceAls::ShardOutcome> MultiDeviceAls::run_wave(
     const std::vector<Shard>& work, const Matrix& src, Matrix& dst,
     const char* name) {
+  // Shards are the items of one parallel_for; each writes only its own
+  // outcome slot and dst rows. Each shard's launch nests its work-groups on
+  // the same pool.
   std::vector<ShardOutcome> outcomes(work.size());
-  if (work.size() <= 1) {
-    if (!work.empty()) outcomes[0] = launch_shard(work[0], src, dst, name);
-    return outcomes;
-  }
-  // One coordinator thread per shard; each writes only its own outcome slot
-  // and its own device's state, so the wave is race-free by construction.
-  std::exception_ptr error;
-  std::mutex error_m;
-  std::vector<std::thread> threads;
-  threads.reserve(work.size());
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        outcomes[i] = launch_shard(work[i], src, dst, name);
-      } catch (...) {
-        std::scoped_lock lk(error_m);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (error) std::rethrow_exception(error);
+  ThreadPool::global().parallel_for(
+      0, work.size(), [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t i = b; i < e; ++i) {
+          outcomes[i] = launch_shard(work[i], src, dst, name);
+        }
+      });
   return outcomes;
 }
 

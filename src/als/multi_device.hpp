@@ -11,8 +11,8 @@
 //  * per-device/per-link faults come from devsim::FaultModel (seeded device
 //    death, straggler slowdowns, transfer faults at the distributed
 //    robust::fault_injection sites);
-//  * shards launch concurrently, one coordinator thread per device, and a
-//    completed launch is the device's heartbeat;
+//  * shards launch concurrently as the items of one parallel_for on the
+//    global pool, and a completed launch is the device's heartbeat;
 //  * deadline-based straggler detection (half-step deadline = median shard
 //    seconds x straggler_deadline_factor) triggers speculative re-execution
 //    of the slow shard on the fastest healthy device;
@@ -35,7 +35,6 @@
 #include "als/kernels.hpp"
 #include "als/options.hpp"
 #include "als/solver.hpp"
-#include "common/thread_pool.hpp"
 #include "devsim/device.hpp"
 #include "devsim/faults.hpp"
 #include "linalg/dense.hpp"
@@ -199,8 +198,9 @@ class MultiDeviceAls {
 
   void half_update(Axis axis, const Matrix& src, Matrix& dst,
                    const char* name);
-  /// Launches `work` concurrently (one thread per shard) and returns per-
-  /// shard outcomes. Lost shards leave their dst rows untouched.
+  /// Launches `work` concurrently (the shards are the items of one
+  /// parallel_for on the global pool) and returns per-shard outcomes. Lost
+  /// shards leave their dst rows untouched.
   std::vector<ShardOutcome> run_wave(const std::vector<Shard>& work,
                                      const Matrix& src, Matrix& dst,
                                      const char* name);
@@ -233,7 +233,6 @@ class MultiDeviceAls {
   AlsVariant variant_;
   std::unique_ptr<RowSolver> row_solver_;
   ElasticOptions elastic_;
-  std::vector<std::unique_ptr<ThreadPool>> pools_;
   std::vector<std::unique_ptr<devsim::Device>> devices_;
   std::vector<DeviceHealth> health_;
   devsim::FaultModel fault_model_;

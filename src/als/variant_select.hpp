@@ -1,7 +1,7 @@
 // Code-variant selection (§III-D): pick the best of the 8 batched variants
 // for an (architecture, dataset) pair.
 //
-// Two selectors are provided:
+// Three selectors are provided:
 //  * empirical  — run every variant in accounting-only mode and pick the
 //    one with the smallest modeled time (the paper's approach);
 //  * heuristic  — a feature-based rule distilled from the paper's findings

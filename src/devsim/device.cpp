@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "devsim/check/checker.hpp"
 #include "obs/registry.hpp"
@@ -37,20 +38,21 @@ LaunchResult Device::launch(const std::string& name,
     }
   } else {
     // Per-worker accumulation avoids false sharing and locks on the hot
-    // path.
-    const unsigned workers = pool_->size();
-    std::vector<SectionCounters> partial(workers);
-    std::vector<aligned_vector<std::byte>> arenas(workers);
+    // path; the pool's worker-index contract makes each slot private to one
+    // running chunk.
+    ThreadPool& pool = ThreadPool::global();
+    std::vector<SectionCounters> partial(pool.size());
+    std::vector<aligned_vector<std::byte>> arenas(pool.size());
 
-    pool_->parallel_for(0, config.num_groups,
-                        [&](std::size_t b, std::size_t e, unsigned w) {
-                          for (std::size_t g = b; g < e; ++g) {
-                            GroupCtx ctx(profile_, g, config.group_size,
-                                         config.functional, partial[w],
-                                         arenas[w]);
-                            kernel(ctx);
-                          }
-                        });
+    pool.parallel_for(0, config.num_groups,
+                      [&](std::size_t b, std::size_t e, unsigned w) {
+                        for (std::size_t g = b; g < e; ++g) {
+                          GroupCtx ctx(profile_, g, config.group_size,
+                                       config.functional, partial[w],
+                                       arenas[w]);
+                          kernel(ctx);
+                        }
+                      });
 
     for (const auto& p : partial) merged.merge(p);
   }

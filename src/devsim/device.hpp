@@ -1,4 +1,4 @@
-// Device: launches work-group kernels over a host thread pool, merges the
+// Device: launches work-group kernels over the global thread pool, merges the
 // recorded activity, and keeps per-kernel and per-section modeled-time
 // statistics (sections give the paper's S1/S2/S3 breakdowns, Fig. 8).
 #pragma once
@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "devsim/check/report.hpp"
 #include "devsim/context.hpp"
 #include "devsim/cost_model.hpp"
@@ -56,9 +55,7 @@ class Device {
  public:
   using Kernel = std::function<void(GroupCtx&)>;
 
-  explicit Device(DeviceProfile profile, ThreadPool* pool = nullptr)
-      : profile_(std::move(profile)),
-        pool_(pool ? pool : &ThreadPool::global()) {}
+  explicit Device(DeviceProfile profile) : profile_(std::move(profile)) {}
 
   const DeviceProfile& profile() const { return profile_; }
 
@@ -118,7 +115,6 @@ class Device {
   KernelStats& stats_for(const std::string& name);
 
   DeviceProfile profile_;
-  ThreadPool* pool_;
   std::vector<std::pair<std::string, KernelStats>> stats_;
   TraceRecorder* trace_ = nullptr;
   obs::Registry* metrics_ = nullptr;

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "linalg/vecops.hpp"
 
@@ -35,12 +36,11 @@ real squared_distance(const real* a, const real* b, std::size_t k) {
 
 std::shared_ptr<const IvfIndex> IvfIndex::build(const Matrix& y,
                                                 const IvfOptions& options,
-                                                const BiasModel* bias,
-                                                ThreadPool* pool) {
+                                                const BiasModel* bias) {
   ALSMF_CHECK_MSG(y.rows() > 0 && y.cols() > 0,
                   "cannot index an empty item factor matrix");
   ALSMF_CHECK(options.kmeans_iters >= 0);
-  if (!pool) pool = &ThreadPool::global();
+  ThreadPool& pool = ThreadPool::global();
 
   const Timer build_timer;
   const index_t items = y.rows();
@@ -79,8 +79,8 @@ std::shared_ptr<const IvfIndex> IvfIndex::build(const Matrix& y,
   // is a serial accumulation (items × k is small next to the assignment).
   std::vector<int> assign(static_cast<std::size_t>(items), 0);
   for (int iter = 0; iter < options.kmeans_iters; ++iter) {
-    pool->parallel_for(0, static_cast<std::size_t>(items),
-                       [&](std::size_t b, std::size_t e, unsigned) {
+    pool.parallel_for(0, static_cast<std::size_t>(items),
+                      [&](std::size_t b, std::size_t e, unsigned) {
       for (std::size_t i = b; i < e; ++i) {
         const real* row = y.row(static_cast<index_t>(i)).data();
         real best = std::numeric_limits<real>::max();

@@ -32,7 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "linalg/dense.hpp"
 #include "recsys/bias.hpp"
@@ -69,11 +68,9 @@ class IvfIndex {
   /// Builds an index over the rows of `y` (items × k). `bias`, when given,
   /// must be the bias model the snapshot serves with: per-partition max
   /// item bias enters the probe bound so biased rankings keep their recall.
-  /// `pool` parallelizes the k-means assignment step (null = global pool).
   static std::shared_ptr<const IvfIndex> build(const Matrix& y,
                                                const IvfOptions& options = {},
-                                               const BiasModel* bias = nullptr,
-                                               ThreadPool* pool = nullptr);
+                                               const BiasModel* bias = nullptr);
 
   /// Approximate top-n for one factor vector; drop-in for topn_from_factor
   /// (same bias/user/exclude semantics, scores descending and exact). `y`

@@ -147,8 +147,7 @@ PipelineReport run_pipeline(const Csr& train, const PipelineOptions& options) {
   serve::RecommendService service(nullptr, serve_options);
   service.set_popularity_fallback(popularity_ranking(train, options.topn));
 
-  devsim::Device device(devsim::profile_by_name(options.device),
-                        serve_options.pool);
+  devsim::Device device(devsim::profile_by_name(options.device));
   const AlsVariant variant;  // batched default; checkpoints are
                              // variant-interchangeable (see trajectory_hash)
   AlsSolver solver(train, options.als, variant, device);

@@ -11,6 +11,7 @@
 #include "als/solver.hpp"
 #include "als/variant_select.hpp"
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "linalg/vecops.hpp"
 #include "recsys/batch_score.hpp"
@@ -113,17 +114,15 @@ std::vector<Recommendation> Recommender::recommend(index_t user, int n,
 }
 
 std::vector<std::vector<Recommendation>> Recommender::recommend_batch(
-    std::span<const index_t> users, int n, const Csr* rated,
-    ThreadPool* pool) const {
+    std::span<const index_t> users, int n, const Csr* rated) const {
   ALSMF_CHECK_MSG(trained_, "recommend_batch() before train()/load()");
-  if (!pool) pool = &ThreadPool::global();
   std::vector<std::vector<Recommendation>> result(users.size());
-  pool->parallel_for(0, users.size(),
-                     [&](std::size_t b, std::size_t e, unsigned) {
-                       for (std::size_t i = b; i < e; ++i) {
-                         result[i] = recommend(users[i], n, rated);
-                       }
-                     });
+  ThreadPool::global().parallel_for(
+      0, users.size(), [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t i = b; i < e; ++i) {
+          result[i] = recommend(users[i], n, rated);
+        }
+      });
   return result;
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "als/options.hpp"
-#include "common/thread_pool.hpp"
 #include "devsim/profile.hpp"
 #include "linalg/dense.hpp"
 #include "recsys/bias.hpp"
@@ -72,8 +71,7 @@ class Recommender {
 
   /// Batch serving: top-n lists for many users, parallel over users.
   std::vector<std::vector<Recommendation>> recommend_batch(
-      std::span<const index_t> users, int n, const Csr* rated = nullptr,
-      ThreadPool* pool = nullptr) const;
+      std::span<const index_t> users, int n, const Csr* rated = nullptr) const;
 
   /// Evaluation on held-out ratings.
   double rmse_on(const Coo& test) const;

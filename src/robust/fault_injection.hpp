@@ -25,7 +25,7 @@ enum class FaultSite : int {
   kFoldInSolve = 3,   ///< serving fold-in solve fails (feeds the breaker)
   // Distributed sites, queried through the keyed API (decisions depend on a
   // caller-chosen key — e.g. (device, half-step) — not on a shared counter,
-  // so concurrent coordinator threads replay identically from one seed).
+  // so concurrent shard launches replay identically from one seed).
   kDeviceFailure = 4,  ///< a simulated device dies permanently
   kStraggler = 5,      ///< a shard launch runs slowed by a drawn factor
   kLinkTransfer = 6,   ///< one interconnect transfer attempt fails

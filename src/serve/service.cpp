@@ -8,6 +8,7 @@
 
 #include "als/row_solve.hpp"
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "index/ivf_index.hpp"
 #include "linalg/batched.hpp"
@@ -76,7 +77,6 @@ void validate(const ServeRequest& request, const ModelSnapshot& snap) {
 RecommendService::RecommendService(std::shared_ptr<ModelSnapshot> initial,
                                    ServiceOptions options)
     : options_(options),
-      pool_(options.pool ? options.pool : &ThreadPool::global()),
       cache_(options.cache_capacity),
       metrics_(options.registry),
       breaker_(options.breaker) {
@@ -241,6 +241,7 @@ void RecommendService::execute_batch(std::vector<ServeRequest>&& batch) {
     return;
   }
   const auto k = static_cast<std::size_t>(snap->k());
+  ThreadPool& pool = ThreadPool::global();
 
   // Validate serially (cheap), collecting the fold-in sub-batch. Fold-ins
   // pass through the circuit breaker: while it is open they fail fast with
@@ -272,8 +273,8 @@ void RecommendService::execute_batch(std::vector<ServeRequest>&& batch) {
   std::vector<real> rhs(foldins.size() * k);
   std::vector<char> foldin_failed(foldins.size(), 0);
   if (!foldins.empty()) {
-    pool_->parallel_for(0, foldins.size(), [&](std::size_t b, std::size_t e,
-                                               unsigned) {
+    pool.parallel_for(0, foldins.size(), [&](std::size_t b, std::size_t e,
+                                             unsigned) {
       for (std::size_t f = b; f < e; ++f) {
         if (robust::fault_at(robust::FaultSite::kFoldInSolve)) {
           foldin_failed[f] = 1;
@@ -298,7 +299,7 @@ void RecommendService::execute_batch(std::vector<ServeRequest>&& batch) {
       }
     });
     batched_cholesky_solve(gram.data(), rhs.data(), foldins.size(),
-                           static_cast<int>(k), *pool_);
+                           static_cast<int>(k), pool);
     // Feed the breaker per fold-in: injected faults and non-finite factors
     // count as failures, everything else as success.
     for (std::size_t f = 0; f < foldins.size(); ++f) {
@@ -322,8 +323,8 @@ void RecommendService::execute_batch(std::vector<ServeRequest>&& batch) {
 
   // Stage 2 — score every request in parallel against the one snapshot.
   std::vector<ServeResult> results(batch.size());
-  pool_->parallel_for(0, batch.size(), [&](std::size_t b, std::size_t e,
-                                           unsigned) {
+  pool.parallel_for(0, batch.size(), [&](std::size_t b, std::size_t e,
+                                         unsigned) {
     for (std::size_t i = b; i < e; ++i) {
       if (errors[i]) continue;
       ServeRequest& request = batch[i];

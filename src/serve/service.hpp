@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "robust/circuit_breaker.hpp"
 #include "serve/batcher.hpp"
 #include "serve/lru_cache.hpp"
@@ -33,7 +32,6 @@ struct ServiceOptions {
   std::size_t max_batch = 64;
   long max_wait_us = 200;          ///< batching window (latency/QPS knob)
   std::size_t cache_capacity = 4096;  ///< top-N LRU entries; 0 disables
-  ThreadPool* pool = nullptr;      ///< solve/score pool; null = global pool
   /// Queued requests beyond which submits are rejected immediately
   /// (kRejectedQueueFull). 0 = unbounded.
   std::size_t max_queue = 0;
@@ -127,7 +125,6 @@ class RecommendService {
   void execute_batch_degraded(std::vector<ServeRequest>&& batch);
 
   ServiceOptions options_;
-  ThreadPool* pool_;
   ModelStore store_;
   TopNCache cache_;
   ServeMetrics metrics_;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,11 +16,25 @@ namespace {
 
 TEST(ThreadPool, CoversFullRangeExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(), [&](std::size_t b, std::size_t e, unsigned) {
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // The second range ends at SIZE_MAX: claiming its last chunk must not
+  // wrap the chunk cursor around to small indices.
+  for (const std::size_t base :
+       {std::size_t{0}, std::numeric_limits<std::size_t>::max() - 1000}) {
+    std::vector<std::atomic<int>> hits(1000);
+    std::atomic<int> stray{0};
+    pool.parallel_for(base, base + hits.size(),
+                      [&](std::size_t b, std::size_t e, unsigned) {
+                        for (std::size_t i = b; i < e; ++i) {
+                          if (i - base < hits.size()) {
+                            hits[i - base].fetch_add(1);
+                          } else {
+                            stray.fetch_add(1);
+                          }
+                        }
+                      });
+    EXPECT_EQ(stray.load(), 0) << "base " << base;
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "base " << base;
+  }
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
@@ -109,6 +125,68 @@ TEST(ThreadPool, DefaultSizePositive) {
 
 TEST(ThreadPool, GlobalSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
+}
+
+/// One parallel_for over [0, n) that checks the worker-index contract:
+/// every index is below size() and no two running chunks of the call share
+/// one. `chunk_fn` runs once per chunk. Returns false on a violation or on
+/// an element not visited exactly once.
+bool contract_holds(ThreadPool& pool, std::size_t n,
+                    const std::function<void(std::size_t, std::size_t)>& chunk_fn) {
+  std::vector<std::atomic<int>> busy(pool.size()), hits(n);
+  std::atomic<bool> ok{true};
+  pool.parallel_for(0, n, [&](std::size_t b, std::size_t e, unsigned w) {
+    if (w >= busy.size() || busy[w].fetch_add(1) != 0) {
+      ok = false;
+      return;
+    }
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    chunk_fn(b, e);
+    busy[w].fetch_sub(1);
+  });
+  for (const auto& h : hits) {
+    if (h.load() != 1) ok = false;
+  }
+  return ok.load();
+}
+
+TEST(ThreadPool, ConcurrentAndNestedSubmittersShareOnePool) {
+  constexpr int kSubmitters = 6;
+  constexpr int kCalls = 100;
+  for (const unsigned size : {1u, 2u, 4u}) {
+    ThreadPool pool(size);
+    std::atomic<int> broken{0}, caught{0}, stray{0};
+    std::vector<std::thread> submitters;
+    for (int s = 0; s < kSubmitters; ++s) {
+      submitters.emplace_back([&, s] {
+        for (int c = 0; c < kCalls; ++c) {
+          // Submitter 0 fails every tenth call from inside a nested chunk;
+          // only submitter 0 may see the exception.
+          const bool fail = s == 0 && c % 10 == 0;
+          try {
+            const bool ok = contract_holds(pool, 16, [&](std::size_t, std::size_t) {
+              const bool inner_ok = contract_holds(
+                  pool, 8, [&](std::size_t b, std::size_t e) {
+                    if (fail && b <= 3 && 3 < e) throw Error("boom");
+                  });
+              if (!inner_ok) broken.fetch_add(1);
+            });
+            if (!ok || fail) broken.fetch_add(1);
+          } catch (const Error&) {
+            if (fail) {
+              caught.fetch_add(1);
+            } else {
+              stray.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (auto& t : submitters) t.join();
+    EXPECT_EQ(broken.load(), 0) << "pool size " << size;
+    EXPECT_EQ(stray.load(), 0) << "pool size " << size;
+    EXPECT_EQ(caught.load(), kCalls / 10) << "pool size " << size;
+  }
 }
 
 TEST(ThreadPool, ManySequentialJobs) {

@@ -63,6 +63,11 @@ TEST(RegistryConcurrency, ExpositionRacesWriters) {
   reg.add_assertion("nonneg", [&reg] {
     return reg.gauge("g").value() >= 0 ? std::string() : "negative";
   });
+  // Register before the threads start: an empty registry exposes empty
+  // text, and the reader may run before the writer's first update.
+  reg.counter("c");
+  reg.gauge("g");
+  reg.histogram("h");
   std::thread writer([&reg] {
     for (int i = 0; i < 2000; ++i) {
       reg.counter("c").inc();
