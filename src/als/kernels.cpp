@@ -270,13 +270,13 @@ class BatchedKernel {
         for (std::size_t p = 0; p < chunk; ++p) {
           tile.mark_read(p * ku, ku);
           rstage.mark_read(p, 1);
-          accumulate_normal_row(tile.data() + p * ku, rstage.data()[p], k,
-                                smat.data(), svec.data());
         }
+        accumulate_gram(tile.data(), chunk, rstage.data(), k, smat.data(),
+                        svec.data());
         // ...and refilled only after every lane finished reading it.
         ctx.group_barrier();
       }
-      finalize_normal_equations(lambda, k, smat.data());
+      finalize_gram(lambda, k, smat.data());
     } else {
       for (std::size_t p = 0; p < cols.size(); ++p) {
         ctx.set_lane(static_cast<int>(p % static_cast<std::size_t>(

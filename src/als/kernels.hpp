@@ -11,6 +11,13 @@
 // variants differ in the *device activity* they record, which is what the
 // cost model prices. The recording formulas are documented inline and
 // verified against hand counts in tests/devsim/.
+//
+// The host arithmetic and the accounting are separate. Each row's normal
+// equations are summed by the register-blocked accumulate_gram
+// (linalg/dense.hpp) under its fixed order contract — the staged tile of
+// the local-memory variant in one call per staged chunk — while the
+// S1/S2/S3 counters come only from the record_s* formulas, which read row
+// lengths and the variant, never how the host blocks its loops.
 #pragma once
 
 #include <string>

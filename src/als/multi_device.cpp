@@ -230,14 +230,23 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
 std::vector<MultiDeviceAls::ShardOutcome> MultiDeviceAls::run_wave(
     const std::vector<Shard>& work, const Matrix& src, Matrix& dst,
     const char* name) {
-  // Shards are the items of one parallel_for; each writes only its own
-  // outcome slot and dst rows. Each shard's launch nests its work-groups on
-  // the same pool.
+  // Devices are the items of one parallel_for, and each runs its shards in
+  // wave order: a recovery wave can hand one survivor several shards, and a
+  // Device (its stats, its fault-model occurrence counter) must never
+  // launch twice at once. Each shard writes only its own outcome slot and
+  // dst rows; each launch nests its work-groups on the same pool.
+  std::vector<std::vector<std::size_t>> by_device(devices_.size());
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    by_device[work[i].device].push_back(i);
+  }
+  std::erase_if(by_device, [](const auto& shards) { return shards.empty(); });
   std::vector<ShardOutcome> outcomes(work.size());
   ThreadPool::global().parallel_for(
-      0, work.size(), [&](std::size_t b, std::size_t e, unsigned) {
-        for (std::size_t i = b; i < e; ++i) {
-          outcomes[i] = launch_shard(work[i], src, dst, name);
+      0, by_device.size(), [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t d = b; d < e; ++d) {
+          for (const std::size_t i : by_device[d]) {
+            outcomes[i] = launch_shard(work[i], src, dst, name);
+          }
         }
       });
   return outcomes;

@@ -1,6 +1,7 @@
 #include "als/row_solve.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "common/error.hpp"
@@ -10,49 +11,19 @@
 
 namespace alsmf {
 
-void accumulate_normal_row(const real* yrow, real rating, int k, real* smat,
-                           real* svec) {
-  for (int i = 0; i < k; ++i) {
-    const real yi = yrow[i];
-    real* srow = smat + static_cast<std::size_t>(i) * static_cast<std::size_t>(k);
-    for (int j = i; j < k; ++j) srow[j] += yi * yrow[j];
-    svec[i] += rating * yi;
-  }
-}
-
-void finalize_normal_equations(real lambda, int k, real* smat) {
-  for (int i = 0; i < k; ++i) {
-    smat[static_cast<std::size_t>(i) * k + i] += lambda;
-    for (int j = i + 1; j < k; ++j) {
-      smat[static_cast<std::size_t>(j) * k + i] =
-          smat[static_cast<std::size_t>(i) * k + j];
-    }
-  }
-}
-
 void assemble_normal_equations(std::span<const index_t> cols,
                                std::span<const real> vals, const Matrix& y,
                                real lambda, int k, real* smat, real* svec) {
   ALSMF_CHECK(cols.size() == vals.size());
   std::fill(smat, smat + static_cast<std::size_t>(k) * k, real{0});
   std::fill(svec, svec + k, real{0});
-  for (std::size_t p = 0; p < cols.size(); ++p) {
-    accumulate_normal_row(y.row(cols[p]).data(), vals[p], k, smat, svec);
+  std::array<const real*, kGramBlockRows> rows{};
+  for (std::size_t base = 0; base < cols.size(); base += rows.size()) {
+    const std::size_t n = std::min(rows.size(), cols.size() - base);
+    for (std::size_t p = 0; p < n; ++p) rows[p] = y.row(cols[base + p]).data();
+    accumulate_gram({rows.data(), n}, vals.data() + base, k, smat, svec);
   }
-  finalize_normal_equations(lambda, k, smat);
-}
-
-void assemble_normal_equations_staged(std::span<const real> tile,
-                                      std::span<const real> vals, real lambda,
-                                      int k, real* smat, real* svec) {
-  ALSMF_CHECK(tile.size() == vals.size() * static_cast<std::size_t>(k));
-  std::fill(smat, smat + static_cast<std::size_t>(k) * k, real{0});
-  std::fill(svec, svec + k, real{0});
-  for (std::size_t p = 0; p < vals.size(); ++p) {
-    accumulate_normal_row(tile.data() + p * static_cast<std::size_t>(k), vals[p], k,
-                   smat, svec);
-  }
-  finalize_normal_equations(lambda, k, smat);
+  finalize_gram(lambda, k, smat);
 }
 
 bool solve_normal_equations(real* smat, real* svec, int k,

@@ -1,8 +1,17 @@
 // The single-row ALS update shared by every code variant: assemble the
 // normal equations  (Σ_{i∈Ω_u} y_i y_iᵀ + λI) x_u = Σ_{i∈Ω_u} r_ui y_i
-// and solve the k×k system. All variants perform this exact arithmetic in
-// the same order, so their functional results agree to the last bit; they
-// differ only in how the work is mapped onto the device (accounting).
+// and solve the k×k system.
+//
+// Every assembly of these equations — the gather, flat and SELL kernels,
+// the staged tile of the local-memory variant, the reference, the guards,
+// fold-in, serving and the cuMF-like baseline — goes through the one
+// register-blocked accumulator, accumulate_gram (linalg/dense.hpp). Its
+// order contract: each element of the system adds its products over the
+// row's ratings in storage order, one multiply and one add at a time,
+// starting from zero. So every variant's functional result agrees to the
+// last bit whatever its tiling, staging or chunking. The variants differ
+// only in the device activity they record (kernels.hpp), and that
+// accounting never depends on how the host arithmetic is blocked.
 #pragma once
 
 #include <span>
@@ -12,26 +21,11 @@
 
 namespace alsmf {
 
-/// Accumulates one gathered y row into the upper triangle of smat and into
-/// svec (the innermost step shared by all variants and the reference).
-void accumulate_normal_row(const real* yrow, real rating, int k, real* smat,
-                           real* svec);
-
-/// Adds λ to the diagonal and mirrors the upper triangle down.
-void finalize_normal_equations(real lambda, int k, real* smat);
-
 /// Fills smat (k×k row-major) with Σ y_i y_iᵀ + λI and svec (k) with
 /// Σ r_ui y_i, over the stored entries (cols, vals) of one row.
 void assemble_normal_equations(std::span<const index_t> cols,
                                std::span<const real> vals, const Matrix& y,
                                real lambda, int k, real* smat, real* svec);
-
-/// Same arithmetic as assemble_normal_equations, but gathering y rows from
-/// a pre-staged contiguous tile (omega × k floats, row p = y_{cols[p]}), as
-/// the local-memory variant does. Bit-identical results by construction.
-void assemble_normal_equations_staged(std::span<const real> tile,
-                                      std::span<const real> vals, real lambda,
-                                      int k, real* smat, real* svec);
 
 /// Solves smat · x = svec in place (svec becomes x_u). Falls back to zero
 /// on a numerically failed factorization (cannot happen for λ > 0, checked

@@ -74,8 +74,37 @@ class Matrix {
 /// Max |a-b| over all entries; requires equal shapes.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 
+/// Rows per register-blocked pass of accumulate_gram. Callers that gather
+/// row pointers collect this many at a time.
+inline constexpr std::size_t kGramBlockRows = 64;
+
+/// The one Gram accumulator behind every normal-equation assembly. Over the
+/// block of rows y_p (k reals each) it adds Σ_p y_p y_pᵀ into the upper
+/// triangle (j ≥ i) of `gram` (k×k, row-major) and, when `rhs` is not null,
+/// Σ_p w_p y_p into `rhs` (k reals; `weights` holds w_p).
+///
+/// It walks the triangle in tiles of at most 4×4 and keeps each tile's
+/// sums in locals across up to kGramBlockRows rows, so the k×k array is
+/// touched once per tile per block instead of once per row.
+///
+/// Order contract: every element starts from the value already in `gram`
+/// (or `rhs`) and adds y_p[i]·y_p[j] (or w_p·y_p[i]) for p = 0…n−1 in that
+/// order, each as a separate multiply and add. The result is bitwise that
+/// of a one-row-at-a-time loop, whatever the tiling or the split of the
+/// rows into calls. The lower triangle is neither read nor written.
+void accumulate_gram(std::span<const real* const> rows, const real* weights,
+                     int k, real* gram, real* rhs);
+
+/// Same, over `n` rows stored back to back from `rows` (row p at rows + p·k).
+void accumulate_gram(const real* rows, std::size_t n, const real* weights,
+                     int k, real* gram, real* rhs);
+
+/// Adds λ to the diagonal of `gram` (k×k) and mirrors its upper triangle
+/// into the lower one.
+void finalize_gram(real lambda, int k, real* gram);
+
 /// C = Aᵀ·A + λI for row-major A (n×k): the full Gram matrix (k×k, row-major
-/// into `out`, which must hold k*k reals).
+/// into `out`, which must hold k*k reals), summed by accumulate_gram.
 void gram_full(const Matrix& a, real lambda, real* out);
 
 /// y = Aᵀ·x for row-major A (n×k), x (n): out must hold k reals.

@@ -121,6 +121,33 @@ TEST(ElasticMultiDevice, DeviceLossRepartitionsAndMatchesReference) {
   }
 }
 
+TEST(ElasticMultiDevice, TwoDevicesLostInOneWaveRecoverBitwise) {
+  const Csr train = testing::random_csr(80, 50, 0.12, 204);
+  const auto ref = reference_als(train, opts());
+
+  // Devices 1 and 2 both die on their third shard launch, in the same
+  // wave. The recovery wave then gives each survivor one shard per lost
+  // range — two shards on one device, which must run one after the other.
+  FaultPlan plan;
+  plan.seed = fault_seed();
+  plan.exact[static_cast<int>(FaultSite::kDeviceFailure)] = {fault_key(1, 2),
+                                                             fault_key(2, 2)};
+  ScopedFaultInjector scoped(plan);
+
+  MultiDeviceAls solver(train, opts(), AlsVariant::batch_local_reg(), gpus(4));
+  solver.run();
+
+  EXPECT_EQ(solver.alive_device_count(), 2);
+  const auto& report = solver.elastic_report();
+  EXPECT_EQ(report.device_failures, 2u);
+  EXPECT_EQ(report.launch_failures, 2u);
+  EXPECT_GE(report.recoveries, 1u);
+  EXPECT_EQ(solver.health(1).state, DeviceHealth::State::kDead);
+  EXPECT_EQ(solver.health(2).state, DeviceHealth::State::kDead);
+  EXPECT_EQ(solver.x(), ref.x);
+  EXPECT_EQ(solver.y(), ref.y);
+}
+
 TEST(ElasticMultiDevice, ProbabilisticFailuresStillConverge) {
   // Seed-swept in CI: whatever the seed selects, the run must complete with
   // the reference factors as long as one device survives. A low per-launch

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "linalg/vecops.hpp"
@@ -40,18 +46,104 @@ TEST(RowSolve, StagedMatchesDirectBitwise) {
   assemble_normal_equations(cols, vals, y, 0.1f, k, smat_a.data(),
                             svec_a.data());
 
-  // Build the gathered tile and use the staged path.
+  // Build the gathered tile and accumulate it as the staged kernel does:
+  // one contiguous block per staged chunk.
   std::vector<real> tile;
   for (auto c : cols) {
     auto row = y.row(c);
     tile.insert(tile.end(), row.begin(), row.end());
   }
   std::vector<real> smat_b(static_cast<std::size_t>(k) * k), svec_b(k);
-  assemble_normal_equations_staged(tile, vals, 0.1f, k, smat_b.data(),
-                                   svec_b.data());
+  accumulate_gram(tile.data(), 2, vals.data(), k, smat_b.data(),
+                  svec_b.data());
+  accumulate_gram(tile.data() + 2 * k, vals.size() - 2, vals.data() + 2, k,
+                  smat_b.data(), svec_b.data());
+  finalize_gram(0.1f, k, smat_b.data());
 
   EXPECT_EQ(smat_a, smat_b);  // bitwise: identical accumulation order
   EXPECT_EQ(svec_a, svec_b);
+}
+
+std::vector<std::uint32_t> bits(const std::vector<real>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(real));
+  return out;
+}
+
+/// Random value of either sign spanning ~12 decades, so any reassociation
+/// of a sum changes its rounding.
+real mixed(Rng& rng) {
+  const double mag = std::ldexp(rng.uniform(1.0, 2.0),
+                                static_cast<int>(rng.uniform(-20.0, 20.0)));
+  return static_cast<real>(rng.uniform() < 0.5 ? -mag : mag);
+}
+
+TEST(RowSolve, BlockedAccumulateMatchesRowByRowBitwise) {
+  Rng rng(17);
+  for (const int k : {1, 2, 3, 4, 5, 7, 8, 9, 10, 13, 16, 17, 32, 100}) {
+    const auto ku = static_cast<std::size_t>(k);
+    for (const std::size_t n : {0u, 1u, 3u, 63u, 64u, 65u, 257u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+      // Rows gathered from a pool (with repeats), plus their weights.
+      Matrix pool(40, static_cast<index_t>(k));
+      for (std::size_t e = 0; e < pool.size(); ++e) pool.data()[e] = mixed(rng);
+      std::vector<const real*> rows(n);
+      std::vector<real> tile(n * ku), w(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        rows[p] = pool.row(static_cast<index_t>(rng.bounded(40))).data();
+        std::copy(rows[p], rows[p] + ku, tile.begin() + static_cast<std::ptrdiff_t>(p * ku));
+        w[p] = mixed(rng);
+      }
+      // Nonzero starting sums: the accumulator adds onto what is stored.
+      // The lower triangle holds a sentinel it must leave alone.
+      std::vector<real> g0(ku * ku), r0(ku);
+      for (std::size_t i = 0; i < ku; ++i) {
+        r0[i] = mixed(rng);
+        for (std::size_t j = 0; j < ku; ++j) {
+          g0[i * ku + j] = j >= i ? mixed(rng) : real{7};
+        }
+      }
+
+      // The oracle: one rating at a time, in storage order.
+      std::vector<real> g_ref = g0, r_ref = r0;
+      for (std::size_t p = 0; p < n; ++p) {
+        for (std::size_t i = 0; i < ku; ++i) {
+          const real yi = rows[p][i];
+          for (std::size_t j = i; j < ku; ++j) g_ref[i * ku + j] += yi * rows[p][j];
+          r_ref[i] += w[p] * yi;
+        }
+      }
+
+      std::vector<real> g = g0, r = r0;
+      accumulate_gram(rows, w.data(), k, g.data(), r.data());
+      EXPECT_EQ(bits(g), bits(g_ref)) << "gathered, one call";
+      EXPECT_EQ(bits(r), bits(r_ref)) << "gathered, one call";
+
+      g = g0;
+      r = r0;
+      accumulate_gram(tile.data(), n, w.data(), k, g.data(), r.data());
+      EXPECT_EQ(bits(g), bits(g_ref)) << "contiguous, one call";
+      EXPECT_EQ(bits(r), bits(r_ref)) << "contiguous, one call";
+
+      // Split into calls of random length: the split must not show.
+      g = g0;
+      r = r0;
+      for (std::size_t p0 = 0; p0 < n;) {
+        const std::size_t len =
+            std::min(n - p0, 1 + static_cast<std::size_t>(rng.bounded(70)));
+        accumulate_gram(std::span<const real* const>(rows).subspan(p0, len),
+                        w.data() + p0, k, g.data(), r.data());
+        p0 += len;
+      }
+      EXPECT_EQ(bits(g), bits(g_ref)) << "gathered, split";
+      EXPECT_EQ(bits(r), bits(r_ref)) << "gathered, split";
+
+      // No rhs: the Gram part alone is unchanged.
+      g = g0;
+      accumulate_gram(rows, nullptr, k, g.data(), nullptr);
+      EXPECT_EQ(bits(g), bits(g_ref)) << "no rhs";
+    }
+  }
 }
 
 TEST(RowSolve, SolveRecoversExactRow) {
