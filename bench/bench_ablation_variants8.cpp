@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     std::printf("%-20s", "empirical best");
     for (const auto& d : datasets) {
       const std::string best =
-          select_variant_empirical(d.train, options, profile).name();
+          score_variants(d.train, options, profile).front().variant.name();
       std::printf(" %19s", best.c_str());
     }
     std::printf("\n\n");

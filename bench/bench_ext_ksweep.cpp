@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
     AlsOptions options = paper_options();
     options.k = k;
     const auto gpu = devsim::k20c();
-    const AlsVariant best = select_variant_empirical(d.train, options, gpu);
+    const AlsVariant best =
+        score_variants(d.train, options, gpu).front().variant;
     const double ours = run_als(d, options, best, gpu).full;
 
     devsim::Device cumf_device(gpu);

@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   for (const auto& d : datasets) {
     // Ours: best variant per device (the paper's variant selection).
     const AlsVariant cpu_best =
-        select_variant_empirical(d.train, options, cpu_profile);
+        score_variants(d.train, options, cpu_profile).front().variant;
     const AlsVariant gpu_best =
-        select_variant_empirical(d.train, options, gpu_profile);
+        score_variants(d.train, options, gpu_profile).front().variant;
     const double ours_cpu = run_als(d, options, cpu_best, cpu_profile).full;
     const double ours_gpu = run_als(d, options, gpu_best, gpu_profile).full;
 

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
         devsim::k20c(), devsim::xeon_phi_31sp(), devsim::xeon_e5_2670_dual()};
     for (int i = 0; i < 3; ++i) {
       const AlsVariant best =
-          select_variant_empirical(d.train, options, profiles[i]);
+          score_variants(d.train, options, profiles[i]).front().variant;
       t[i] = run_als(d, options, best, profiles[i]).full;
     }
     const double best = std::min({t[0], t[1], t[2]});

@@ -2,7 +2,7 @@
 //
 //   alsmf_cli train     --ratings r.txt --model m.bin [--k 10] [--lambda 0.1]
 //                       [--iters 10] [--device cpu|gpu|mic] [--profile file]
-//                       [--wr] [--variant auto|learned|0..7]
+//                       [--wr] [--variant auto|0..7]
 //                       [--row-solver cholesky|cg|subspace] [--cg-iters 3]
 //                       [--subspace-block 0] [--anderson-m 0]
 //                       (--row-solver picks the S3 strategy — see
@@ -82,6 +82,7 @@
 // Ratings files use the paper's `<userID, itemID, rating>` text format.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include <cstdlib>
@@ -92,7 +93,6 @@
 #include "als/verify_kernels.hpp"
 #include "als/metrics.hpp"
 #include "als/multi_device.hpp"
-#include "als/learned_select.hpp"
 #include "als/out_of_core.hpp"
 #include "als/solver.hpp"
 #include "als/variant_select.hpp"
@@ -126,11 +126,28 @@ devsim::DeviceProfile resolve_profile(const CliArgs& args) {
   return devsim::profile_by_name(args.get_or("device", "cpu"));
 }
 
+// A --variant mask "0".."7" (AlsVariant::from_mask); empty on anything else.
+std::optional<AlsVariant> parse_variant_mask(const std::string& text) {
+  if (text.size() != 1 || text[0] < '0' ||
+      text[0] >= '0' + static_cast<int>(AlsVariant::kVariantCount)) {
+    return std::nullopt;
+  }
+  return AlsVariant::from_mask(static_cast<unsigned>(text[0] - '0'));
+}
+
 int cmd_train(const CliArgs& args) {
   const auto ratings_path = args.get("ratings");
   const auto model_path = args.get("model");
   if (!ratings_path || !model_path) {
     std::cerr << "train requires --ratings and --model\n";
+    return 2;
+  }
+  const std::string variant_arg = args.get_or("variant", "auto");
+  const std::optional<AlsVariant> fixed_variant =
+      parse_variant_mask(variant_arg);
+  if (variant_arg != "auto" && !fixed_variant) {
+    std::cerr << "train: --variant must be auto or 0..7, got '"
+              << variant_arg << "'\n";
     return 2;
   }
   Coo ratings = read_ratings_file(*ratings_path);
@@ -148,17 +165,14 @@ int cmd_train(const CliArgs& args) {
   options.anderson_m = static_cast<int>(args.get_long("anderson-m", 0));
 
   const auto profile = resolve_profile(args);
-  const std::string variant_arg = args.get_or("variant", "auto");
   AlsVariant variant;
-  if (variant_arg == "auto") {
-    variant = select_variant_heuristic(train, options, profile);
-  } else if (variant_arg == "learned") {
-    const DecisionTree tree =
-        train_variant_selector(generate_selector_corpus());
-    variant = select_variant_learned(tree, train, options, profile);
+  if (fixed_variant) {
+    variant = *fixed_variant;
   } else {
-    variant =
-        AlsVariant::from_mask(static_cast<unsigned>(std::stoul(variant_arg)));
+    const TunedConfig tuned = select_config(train, options, profile);
+    std::cout << "selected configuration: " << tuned.to_string() << "\n";
+    options = apply_tuning(options, tuned);
+    variant = tuned.variant;
   }
 
   const auto ckpt_dir = args.get("checkpoint-dir");
@@ -235,6 +249,13 @@ int cmd_train_multi(const CliArgs& args) {
     std::cerr << "train-multi requires --ratings\n";
     return 2;
   }
+  const std::string variant_arg = args.get_or("variant", "3");
+  const std::optional<AlsVariant> variant = parse_variant_mask(variant_arg);
+  if (!variant) {
+    std::cerr << "train-multi: --variant must be 0..7, got '" << variant_arg
+              << "'\n";
+    return 2;
+  }
   Coo ratings = read_ratings_file(*ratings_path);
   ratings.canonicalize();
   const Csr train = coo_to_csr(ratings);
@@ -244,9 +265,6 @@ int cmd_train_multi(const CliArgs& args) {
   options.lambda = static_cast<real>(args.get_double("lambda", 0.1));
   options.iterations = static_cast<int>(args.get_long("iters", 10));
   options.weighted_regularization = args.has_flag("wr");
-  const std::string variant_arg = args.get_or("variant", "3");
-  const AlsVariant variant =
-      AlsVariant::from_mask(static_cast<unsigned>(std::stoul(variant_arg)));
 
   // --devices N (copies of --device/--profile) or a comma list of names.
   std::vector<devsim::DeviceProfile> profiles;
@@ -298,7 +316,7 @@ int cmd_train_multi(const CliArgs& args) {
   robust::ScopedFaultInjector scoped(plan);
 
   obs::Registry registry;
-  MultiDeviceAls solver(train, options, variant, profiles, elastic);
+  MultiDeviceAls solver(train, options, *variant, profiles, elastic);
   MultiRunConfig config;
   config.metrics = &registry;
   if (auto ckpt_dir = args.get("checkpoint-dir")) {

@@ -1,6 +1,6 @@
 // Portability demo (§III-D): train the same dataset on the three device
-// profiles the paper evaluates, auto-selecting a code variant per
-// architecture, and compare modeled execution times.
+// profiles the paper evaluates, selecting a configuration (code variant and
+// launch shape) per architecture, and compare modeled execution times.
 //
 //   ./cross_platform [--dataset MVLE|NTFX|YMR1|YMR4] [--scale 256]
 #include <cstdio>
@@ -27,17 +27,17 @@ int main(int argc, char** argv) {
   options.lambda = 0.1f;
   options.iterations = static_cast<int>(args.get_long("iters", 5));
 
-  std::printf("%-18s %-18s %14s %14s %10s\n", "device", "variant",
+  std::printf("%-18s %-32s %14s %14s %10s\n", "device", "configuration",
               "modeled [s]", "wall [s]", "RMSE");
   for (const char* name : {"cpu", "gpu", "mic"}) {
     const auto profile = devsim::profile_by_name(name);
-    const AlsVariant variant =
-        select_variant_heuristic(train, options, profile);
+    const TunedConfig tuned = select_config(train, options, profile);
     devsim::Device device(profile);
-    AlsSolver solver(train, options, variant, device);
+    AlsSolver solver(train, apply_tuning(options, tuned), tuned.variant,
+                     device);
     const double modeled = solver.run(RunConfig{}).modeled_seconds;
-    std::printf("%-18s %-18s %14.4f %14.4f %10.4f\n", profile.name.c_str(),
-                variant.name().c_str(), modeled, solver.wall_seconds(),
+    std::printf("%-18s %-32s %14.4f %14.4f %10.4f\n", profile.name.c_str(),
+                tuned.to_string().c_str(), modeled, solver.wall_seconds(),
                 solver.train_rmse());
   }
   return 0;

@@ -1,13 +1,12 @@
 // Portability punchline: model an accelerator that did not exist when the
-// paper was written, from a plain-text profile, and let the selectors pick
-// a code variant for it — no recompilation, exactly the "emerging
+// paper was written, from a plain-text profile, and let select_config pick
+// a configuration for it — no recompilation, exactly the "emerging
 // hardware" workflow the paper motivates (Observation 2).
 //
 //   ./custom_device [--profile my_device.txt] [--dataset NTFX] [--scale 256]
 #include <cstdio>
 #include <sstream>
 
-#include "als/autotune.hpp"
 #include "als/variant_select.hpp"
 #include "common/cli.hpp"
 #include "data/datasets.hpp"
@@ -62,8 +61,8 @@ launch_overhead_us = 12
                 s.modeled_seconds);
   }
 
-  const TunedConfig tuned = autotune(train, options, profile);
-  std::printf("\nautotuned configuration: %s  (%.4f modeled s)\n",
+  const TunedConfig tuned = select_config(train, options, profile);
+  std::printf("\nselected configuration: %s  (%.4f modeled s)\n",
               tuned.to_string().c_str(), tuned.modeled_seconds);
   return 0;
 }

@@ -1,6 +1,6 @@
 // Code-variant selection demo (§III-D): score all 8 batched variants on
-// each architecture with the cost model and compare against the heuristic
-// selector's pick.
+// each architecture with the cost model and compare against the
+// configuration select_config picks.
 //
 //   ./variant_tuning [--dataset NTFX] [--scale 256] [--k 10]
 #include <cstdio>
@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
       std::printf("  %-20s %10.4f s\n", s.variant.name().c_str(),
                   s.modeled_seconds);
     }
-    const AlsVariant pick = select_variant_heuristic(train, options, profile);
-    std::printf("  empirical best: %s | heuristic pick: %s\n\n",
-                scores.front().variant.name().c_str(), pick.name().c_str());
+    const TunedConfig pick = select_config(train, options, profile);
+    std::printf("  empirical best: %s | select_config: %s (%.4f s)\n\n",
+                scores.front().variant.name().c_str(),
+                pick.to_string().c_str(), pick.modeled_seconds);
   }
   return 0;
 }

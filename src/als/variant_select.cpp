@@ -1,6 +1,7 @@
 #include "als/variant_select.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <vector>
 
 #include "als/solver.hpp"
@@ -15,9 +16,16 @@ namespace alsmf {
 
 namespace {
 
+namespace az = ocl::analyze;
+
+// The launch shapes select_config searches (§V-E group sizes; staging tiles
+// for the local-memory variants, 0 = kernel auto).
+constexpr int kGroupSizes[] = {8, 16, 32, 64};
+constexpr int kTileRows[] = {0, 32, 64, 128};
+
 // Shape statistics of the update-X launch (one row of R per batch row).
-ocl::analyze::DatasetStats row_stats(const Csr& m) {
-  ocl::analyze::DatasetStats s;
+az::DatasetStats row_stats(const Csr& m) {
+  az::DatasetStats s;
   s.rows = static_cast<double>(m.rows());
   s.nnz = static_cast<double>(m.nnz());
   const auto& rp = m.row_ptr();
@@ -30,14 +38,48 @@ ocl::analyze::DatasetStats row_stats(const Csr& m) {
 
 // Shape statistics of the update-Y launch (the solver maps Rᵀ), computed by
 // scanning col_idx — no transpose is materialized for a static ranking.
-ocl::analyze::DatasetStats col_stats(const Csr& m) {
-  ocl::analyze::DatasetStats s;
+az::DatasetStats col_stats(const Csr& m) {
+  az::DatasetStats s;
   s.rows = static_cast<double>(m.cols());
   s.nnz = static_cast<double>(m.nnz());
   std::vector<char> seen(static_cast<std::size_t>(m.cols()), 0);
   for (const index_t c : m.col_idx()) seen[static_cast<std::size_t>(c)] = 1;
   for (const char f : seen) s.nonempty_rows += f;
   return s;
+}
+
+// The variant's generated source at work-group size `group_size`, lowered to
+// the access IR. The staging tile is a launch parameter, not part of it.
+az::KernelIR lower_variant(const AlsVariant& v, int k, int group_size) {
+  ocl::KernelConfig kc;
+  kc.k = k;
+  kc.group_size = group_size;
+  auto kernels = az::lower_kernels(
+      az::parse_translation_unit(ocl::batched_kernel_source(v, kc)));
+  ALSMF_CHECK_MSG(kernels.size() == 1, "variant source must hold 1 kernel");
+  return std::move(kernels.front());
+}
+
+// Statically modeled seconds of one iteration: update X over R, then Y over
+// Rᵀ, both priced by the devsim cost model.
+double static_iteration_seconds(const az::KernelIR& kernel,
+                                const az::DatasetStats& stats_x,
+                                const az::DatasetStats& stats_y,
+                                const az::StaticLaunchParams& launch,
+                                const devsim::DeviceProfile& profile) {
+  const az::StaticKernelProfile px =
+      az::build_static_profile(kernel, stats_x, launch, profile);
+  const az::StaticKernelProfile py =
+      az::build_static_profile(kernel, stats_y, launch, profile);
+  return devsim::estimate_time(px.counters, profile).total_s() +
+         devsim::estimate_time(py.counters, profile).total_s();
+}
+
+template <class T>
+void sort_by_time(std::vector<T>& v) {
+  std::stable_sort(v.begin(), v.end(), [](const T& a, const T& b) {
+    return a.modeled_seconds < b.modeled_seconds;
+  });
 }
 
 }  // namespace
@@ -56,25 +98,14 @@ std::vector<VariantScore> score_variants(const Csr& train,
     const double t = solver.run({}).modeled_seconds;
     scores.push_back({v, t});
   }
-  std::stable_sort(scores.begin(), scores.end(),
-                   [](const VariantScore& a, const VariantScore& b) {
-                     return a.modeled_seconds < b.modeled_seconds;
-                   });
+  sort_by_time(scores);
   return scores;
-}
-
-AlsVariant select_variant_empirical(const Csr& train, const AlsOptions& options,
-                                    const devsim::DeviceProfile& profile) {
-  return score_variants(train, options, profile).front().variant;
 }
 
 std::vector<VariantScore> score_variants_static(
     const Csr& train, const AlsOptions& options,
     const devsim::DeviceProfile& profile) {
-  namespace az = ocl::analyze;
-  ocl::KernelConfig kc;
-  kc.k = options.k;
-  kc.group_size = options.group_size;
+  validate(options);  // the kernel generator assumes a sane k
   az::StaticLaunchParams launch;
   launch.num_groups = options.num_groups;
   launch.group_size = options.group_size;
@@ -86,60 +117,86 @@ std::vector<VariantScore> score_variants_static(
   scores.reserve(AlsVariant::kVariantCount);
   for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
     const AlsVariant v = AlsVariant::from_mask(mask);
-    const std::string src = ocl::batched_kernel_source(v, kc);
-    const auto kernels = az::lower_kernels(az::parse_translation_unit(src));
-    ALSMF_CHECK_MSG(kernels.size() == 1, "variant source must hold 1 kernel");
-    const az::StaticKernelProfile px =
-        az::build_static_profile(kernels.front(), stats_x, launch, profile);
-    const az::StaticKernelProfile py =
-        az::build_static_profile(kernels.front(), stats_y, launch, profile);
-    const double per_iter =
-        devsim::estimate_time(px.counters, profile).total_s() +
-        devsim::estimate_time(py.counters, profile).total_s();
-    scores.push_back({v, options.iterations * per_iter});
+    const az::KernelIR kernel = lower_variant(v, options.k, options.group_size);
+    scores.push_back({v, options.iterations *
+                             static_iteration_seconds(kernel, stats_x, stats_y,
+                                                      launch, profile)});
   }
-  std::stable_sort(scores.begin(), scores.end(),
-                   [](const VariantScore& a, const VariantScore& b) {
-                     return a.modeled_seconds < b.modeled_seconds;
-                   });
+  sort_by_time(scores);
   return scores;
 }
 
-AlsVariant select_variant_static(const Csr& train, const AlsOptions& options,
-                                 const devsim::DeviceProfile& profile) {
-  return score_variants_static(train, options, profile).front().variant;
+std::string TunedConfig::to_string() const {
+  std::ostringstream os;
+  os << variant.name() << " ws=" << group_size;
+  if (variant.use_local) {
+    os << " tile=" << (tile_rows == 0 ? std::string("auto")
+                                      : std::to_string(tile_rows));
+  }
+  return os.str();
 }
 
-AlsVariant select_variant_heuristic(const Csr& train, const AlsOptions& options,
-                                    const devsim::DeviceProfile& profile) {
-  (void)train;
-  AlsVariant v;
-  v.thread_batching = true;
-  if (profile.kind == devsim::DeviceKind::kGpu) {
-    v.use_local = true;
-    v.use_registers = true;
-    v.use_vectors = false;  // Fig. 6: "very little change" on SIMT
-  } else {
-    v.use_local = true;
-    v.use_registers = false;  // §V-B: reg+local degrades on CPU/MIC
-    // Explicit vectors pay off when the group is wide enough that the
-    // packed lanes cover k (otherwise padding dominates either way).
-    v.use_vectors = options.group_size >= options.k;
+TunedConfig select_config(const Csr& train, const AlsOptions& options,
+                          const devsim::DeviceProfile& profile) {
+  validate(options);  // the kernel generator assumes a sane k
+  // Step 1: rank the whole grid with the static cost model, zero runs.
+  const az::DatasetStats stats_x = row_stats(train);
+  const az::DatasetStats stats_y = col_stats(train);
+  // The variant loop is innermost so that, among configurations the static
+  // model prices the same (tiles longer than most rows tie; the vector
+  // toggle can tie its scalar twin), the stable sort puts distinct
+  // variants rather than distinct tiles of one variant into the top two.
+  std::vector<TunedConfig> ranked;
+  for (const int ws : kGroupSizes) {
+    std::vector<az::KernelIR> kernels;  // indexed by variant mask
+    for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
+      kernels.push_back(
+          lower_variant(AlsVariant::from_mask(mask), options.k, ws));
+    }
+    for (const int tile : kTileRows) {
+      az::StaticLaunchParams launch;
+      launch.num_groups = options.num_groups;
+      launch.group_size = ws;
+      launch.tile_rows = tile;
+      for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
+        const AlsVariant v = AlsVariant::from_mask(mask);
+        if (tile != 0 && !v.use_local) continue;  // no tile to stage
+        ranked.push_back({v, ws, tile,
+                          static_iteration_seconds(kernels[mask], stats_x,
+                                                   stats_y, launch, profile)});
+      }
+    }
   }
-  return v;
+  sort_by_time(ranked);
+
+  // Step 2: the static rank can misorder near neighbours, so confirm the top
+  // two with one accounting-only iteration each. Accounting time is linear
+  // in the iteration count, so one iteration scaled is the full run's time.
+  AlsOptions opts = options;
+  opts.functional = false;  // cost-model only: no arithmetic
+  RunConfig one;
+  one.iterations = 1;
+  TunedConfig best;
+  for (std::size_t i = 0; i < 2; ++i) {
+    TunedConfig c = ranked[i];
+    devsim::Device device(profile);
+    AlsSolver solver(train, apply_tuning(opts, c), c.variant, device);
+    c.modeled_seconds = options.iterations * solver.run(one).modeled_seconds;
+    // Per-worker counter sums merge in chunk-claim order, so equal
+    // configurations differ in the last bits from run to run; rank 2 must
+    // win by more than that for the pick to be the same on every run.
+    if (i == 0 || c.modeled_seconds < best.modeled_seconds * (1 - 1e-12)) {
+      best = c;
+    }
+  }
+  return best;
 }
 
-int recommend_group_size(int k, const devsim::DeviceProfile& profile) {
-  if (profile.kind == devsim::DeviceKind::kGpu) {
-    // Smallest multiple of the warp fitting k… the paper recommends the
-    // smallest block size >= k that still fills a warp scheduling slot:
-    // round k up to a power of two between 16 and the warp width.
-    int size = 16;
-    while (size < k && size < profile.simd_width) size *= 2;
-    return std::max(size, std::min(32, profile.simd_width));
-  }
-  // CPU/MIC: one SIMD bundle per group ("the smaller the better", §V-E).
-  return profile.simd_width;
+AlsOptions apply_tuning(const AlsOptions& options, const TunedConfig& config) {
+  AlsOptions tuned = options;
+  tuned.group_size = config.group_size;
+  tuned.tile_rows = config.tile_rows;
+  return tuned;
 }
 
 }  // namespace alsmf

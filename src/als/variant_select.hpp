@@ -1,16 +1,14 @@
-// Code-variant selection (§III-D): pick the best of the 8 batched variants
-// for an (architecture, dataset) pair.
+// Configuration selection (§III-D, §V-E): pick the code variant, work-group
+// size and staging tile to run for an (architecture, dataset) pair.
 //
-// Three selectors are provided:
-//  * empirical  — run every variant in accounting-only mode and pick the
-//    one with the smallest modeled time (the paper's approach);
-//  * heuristic  — a feature-based rule distilled from the paper's findings
-//    (the "machine-learning based approach" the paper leaves as future
-//    work, here as an interpretable decision rule);
-//  * static     — zero-run ranking: each variant's generated OpenCL source
-//    is parsed and lowered to the access IR (ocl/analyze/), priced for the
-//    dataset's shape statistics, and pushed through the same devsim cost
-//    model — no training iterations at all.
+// select_config is the one selector. Two rankers sit beside it:
+//  * score_variants        — runs each of the 8 variants in accounting-only
+//    mode (the paper's empirical measurement); the oracle that the bench
+//    figures and the tests compare against;
+//  * score_variants_static — zero-run ranking: each variant's generated
+//    OpenCL source is parsed and lowered to the access IR (ocl/analyze/),
+//    priced for the dataset's shape statistics, and pushed through the same
+//    devsim cost model. It is the first step of select_config.
 #pragma once
 
 #include <string>
@@ -33,10 +31,6 @@ std::vector<VariantScore> score_variants(const Csr& train,
                                          const AlsOptions& options,
                                          const devsim::DeviceProfile& profile);
 
-/// Empirical selector: best entry of score_variants.
-AlsVariant select_variant_empirical(const Csr& train, const AlsOptions& options,
-                                    const devsim::DeviceProfile& profile);
-
 /// Scores all 8 batched variants without running any of them: the generated
 /// kernel sources are statically analyzed (ocl/analyze/static_profile.hpp),
 /// the predicted LaunchCounters of both half-updates (X over R, Y over Rᵀ)
@@ -47,21 +41,28 @@ std::vector<VariantScore> score_variants_static(
     const Csr& train, const AlsOptions& options,
     const devsim::DeviceProfile& profile);
 
-/// Static selector: best entry of score_variants_static. The agreement
-/// contract (enforced by tests) is that the empirically best variant ranks
-/// in the static top-2 on every built-in device profile.
-AlsVariant select_variant_static(const Csr& train, const AlsOptions& options,
-                                 const devsim::DeviceProfile& profile);
+/// One launch configuration: code variant plus launch shape.
+struct TunedConfig {
+  AlsVariant variant;
+  int group_size = 32;
+  int tile_rows = 0;       ///< 0 = kernel auto
+  double modeled_seconds = 0;
 
-/// Feature-based heuristic distilled from the paper's evaluation:
-///  * GPU  → local + registers (Fig. 6: biggest win, up to 2.6×),
-///  * CPU/MIC → local only (registers+local degrades there, §V-B);
-///    vectors added when the kernel is compute-bound enough to benefit.
-AlsVariant select_variant_heuristic(const Csr& train, const AlsOptions& options,
-                                    const devsim::DeviceProfile& profile);
+  std::string to_string() const;
+};
 
-/// Recommended group size: the smallest multiple of the bundle width that
-/// is >= k on GPUs (§V-E), the bundle width itself on CPU/MIC.
-int recommend_group_size(int k, const devsim::DeviceProfile& profile);
+/// Picks the configuration to run. The grid is the 8 batched variants ×
+/// group size {8, 16, 32, 64} × staging tile {auto, 32, 64, 128}, the tile
+/// applying to local-memory variants only (80 configurations). Every
+/// configuration is ranked by the static cost model (each variant source is
+/// lowered once per group size), then the two best-ranked run one
+/// accounting-only iteration each and the faster is returned, its
+/// modeled_seconds scaled to options.iterations. The caller's group_size
+/// and tile_rows are ignored; every other option is kept.
+TunedConfig select_config(const Csr& train, const AlsOptions& options,
+                          const devsim::DeviceProfile& profile);
+
+/// Applies a tuned configuration onto an options struct.
+AlsOptions apply_tuning(const AlsOptions& options, const TunedConfig& config);
 
 }  // namespace alsmf

@@ -65,8 +65,8 @@ Recommender Recommender::from_factors(Matrix x, Matrix y) {
 
 TrainReport Recommender::train(const Csr& ratings, const AlsOptions& options,
                                const devsim::DeviceProfile& profile) {
-  return train(ratings, options,
-               profile, select_variant_heuristic(ratings, options, profile));
+  const TunedConfig tuned = select_config(ratings, options, profile);
+  return train(ratings, apply_tuning(options, tuned), profile, tuned.variant);
 }
 
 TrainReport Recommender::train(const Csr& ratings, const AlsOptions& options,

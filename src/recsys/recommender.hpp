@@ -34,8 +34,12 @@ class Recommender {
  public:
   Recommender() = default;
 
-  /// Trains on the ratings with the given hyperparameters. The variant is
-  /// auto-selected for the device profile unless one is supplied.
+  /// Trains on the ratings with the given hyperparameters. The 3-argument
+  /// overload runs the variant, group size and staging tile select_config
+  /// picks for the device profile; the 4-argument overload runs `variant`
+  /// at the caller's launch shape (options.group_size, options.tile_rows).
+  /// Only the modeled time differs: the factors do not depend on the
+  /// variant, the tile or the work-group mapping.
   TrainReport train(const Csr& ratings, const AlsOptions& options,
                     const devsim::DeviceProfile& profile);
   TrainReport train(const Csr& ratings, const AlsOptions& options,

@@ -117,10 +117,20 @@ std::uint64_t ModelStore::publish(std::shared_ptr<ModelSnapshot> next) {
                   "matrix shape");
   const std::uint64_t v = next_version_.fetch_add(1, std::memory_order_relaxed);
   next->version = v;
-  snap_.store(std::shared_ptr<const ModelSnapshot>(std::move(next)),
-              std::memory_order_release);
+  std::shared_ptr<const ModelSnapshot> previous(std::move(next));
+  {
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    snap_.swap(previous);
+  }
   publishes_.fetch_add(1, std::memory_order_relaxed);
+  // `previous` is released here, outside the lock: when this was its last
+  // reference, destroying the old snapshot does not block readers.
   return v;
+}
+
+std::shared_ptr<const ModelSnapshot> ModelStore::current() const {
+  std::lock_guard<std::mutex> lock(snap_mu_);
+  return snap_;
 }
 
 std::uint64_t ModelStore::version() const {

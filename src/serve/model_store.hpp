@@ -2,17 +2,21 @@
 //
 // A ModelSnapshot is an immutable copy of everything serving needs (factor
 // matrices, optional bias block, the fold-in λ). The ModelStore publishes
-// snapshots through an atomic shared_ptr: readers acquire the current
-// snapshot with one lock-free load and keep serving from it even while a
+// snapshots through a mutex-guarded shared_ptr: readers copy the current
+// snapshot pointer under the lock and keep serving from it even while a
 // retrained model is swapped in — in-flight requests finish on the old
 // snapshot, which is reclaimed when its last reader drops the reference
 // (exactly the read-copy-update pattern, with shared_ptr as the grace
-// period).
+// period). The lock covers only the pointer copy or swap. It replaces
+// std::atomic<std::shared_ptr>, whose libstdc++ 12 load drops its lock bit
+// with a relaxed store, leaving the next store's swap unordered after the
+// load's pointer read: a data race that ThreadSanitizer reports.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "linalg/dense.hpp"
 #include "recsys/bias.hpp"
@@ -95,10 +99,8 @@ class ModelStore {
   /// until the last in-flight reader releases it.
   std::uint64_t publish(std::shared_ptr<ModelSnapshot> next);
 
-  /// Lock-free acquire of the current snapshot (null before first publish).
-  std::shared_ptr<const ModelSnapshot> current() const {
-    return snap_.load(std::memory_order_acquire);
-  }
+  /// The current snapshot (null before first publish).
+  std::shared_ptr<const ModelSnapshot> current() const;
 
   /// Version of the currently published snapshot (0 when empty).
   std::uint64_t version() const;
@@ -109,7 +111,8 @@ class ModelStore {
   }
 
  private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> snap_;
+  mutable std::mutex snap_mu_;
+  std::shared_ptr<const ModelSnapshot> snap_;  // guarded by snap_mu_
   std::atomic<std::uint64_t> next_version_{1};
   std::atomic<std::uint64_t> publishes_{0};
 };

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.hpp"
 #include "data/datasets.hpp"
+#include "data/synthetic.hpp"
 #include "testing/util.hpp"
 
 namespace alsmf {
@@ -30,7 +37,7 @@ TEST(VariantSelect, GpuEmpiricalBestUsesLocalAndRegisters) {
   // Fig. 6: registers + local memory dominate on the GPU.
   const Csr train = make_replica("NTFX", 256.0);
   const AlsVariant best =
-      select_variant_empirical(train, opts(), devsim::k20c());
+      score_variants(train, opts(), devsim::k20c()).front().variant;
   EXPECT_TRUE(best.use_local);
   EXPECT_TRUE(best.use_registers);
 }
@@ -39,42 +46,11 @@ TEST(VariantSelect, CpuEmpiricalBestAvoidsRegistersWithLocal) {
   // §V-B: registers+local harmful on CPU; best CPU variants use local.
   const Csr train = make_replica("NTFX", 256.0);
   const AlsVariant best =
-      select_variant_empirical(train, opts(), devsim::xeon_e5_2670_dual());
+      score_variants(train, opts(), devsim::xeon_e5_2670_dual())
+          .front()
+          .variant;
   EXPECT_TRUE(best.use_local);
   EXPECT_FALSE(best.use_registers);
-}
-
-TEST(VariantSelect, HeuristicMatchesPaperGuidance) {
-  const Csr train = make_replica("MVLE", 256.0);
-  const AlsVariant gpu = select_variant_heuristic(train, opts(), devsim::k20c());
-  EXPECT_TRUE(gpu.use_local);
-  EXPECT_TRUE(gpu.use_registers);
-  EXPECT_FALSE(gpu.use_vectors);
-
-  const AlsVariant cpu =
-      select_variant_heuristic(train, opts(), devsim::xeon_e5_2670_dual());
-  EXPECT_TRUE(cpu.use_local);
-  EXPECT_FALSE(cpu.use_registers);
-
-  const AlsVariant mic =
-      select_variant_heuristic(train, opts(), devsim::xeon_phi_31sp());
-  EXPECT_TRUE(mic.use_local);
-  EXPECT_FALSE(mic.use_registers);
-}
-
-TEST(VariantSelect, HeuristicAgreesWithEmpiricalOnNetflix) {
-  const Csr train = make_replica("NTFX", 256.0);
-  for (const char* dev : {"gpu", "cpu", "mic"}) {
-    const auto profile = devsim::profile_by_name(dev);
-    const auto scores = score_variants(train, opts(), profile);
-    const AlsVariant pick = select_variant_heuristic(train, opts(), profile);
-    double pick_time = 0;
-    for (const auto& s : scores) {
-      if (s.variant == pick) pick_time = s.modeled_seconds;
-    }
-    // The heuristic pick must be within 25% of the empirical optimum.
-    EXPECT_LE(pick_time, scores.front().modeled_seconds * 1.25) << dev;
-  }
 }
 
 TEST(VariantSelect, StaticScoresAllEightSortedAscending) {
@@ -95,7 +71,8 @@ TEST(VariantSelect, StaticRankingPutsEmpiricalBestInTopTwo) {
     const Csr train = make_replica(dataset, 64.0);
     for (const char* dev : {"gpu", "cpu", "mic"}) {
       const auto profile = devsim::profile_by_name(dev);
-      const AlsVariant best = select_variant_empirical(train, opts(), profile);
+      const AlsVariant best =
+          score_variants(train, opts(), profile).front().variant;
       const auto ranked = score_variants_static(train, opts(), profile);
       EXPECT_TRUE(best == ranked[0].variant || best == ranked[1].variant)
           << dataset << "/" << dev << ": empirical best " << best.name()
@@ -106,12 +83,13 @@ TEST(VariantSelect, StaticRankingPutsEmpiricalBestInTopTwo) {
 }
 
 TEST(VariantSelect, StaticSelectorNeverRunsButStaysCompetitive) {
-  // select_variant_static's pick must be within 25% of the empirical
-  // optimum's modeled time — same bar the heuristic is held to.
+  // The static ranking's first pick must be within 25% of the empirical
+  // optimum's modeled time.
   const Csr train = make_replica("NTFX", 128.0);
   for (const char* dev : {"gpu", "cpu", "mic"}) {
     const auto profile = devsim::profile_by_name(dev);
-    const AlsVariant pick = select_variant_static(train, opts(), profile);
+    const AlsVariant pick =
+        score_variants_static(train, opts(), profile).front().variant;
     const auto scores = score_variants(train, opts(), profile);
     double pick_time = 0;
     for (const auto& s : scores) {
@@ -121,15 +99,106 @@ TEST(VariantSelect, StaticSelectorNeverRunsButStaysCompetitive) {
   }
 }
 
-TEST(VariantSelect, RecommendedGroupSizeCoversK) {
-  const auto gpu = devsim::k20c();
-  // §V-E: smallest size >= k (rounded to scheduling granularity).
-  EXPECT_GE(recommend_group_size(10, gpu), 10);
-  EXPECT_LE(recommend_group_size(10, gpu), 32);
-  EXPECT_GE(recommend_group_size(30, gpu), 30);
+TEST(VariantSelect, SelectConfigMatchesExhaustiveGrid) {
+  // select_config ranks the grid statically and runs only its top two; the
+  // oracle runs every grid point. Contexts: three synthetic shapes spanning
+  // the row-length and skew regimes × k × device, plus two Table I replicas.
+  struct Dataset {
+    std::string name;
+    Csr train;
+    std::vector<int> ks;
+  };
+  std::vector<Dataset> datasets;
+  const struct {
+    index_t users, items;
+    nnz_t nnz;
+    double alpha;
+  } shapes[] = {
+      {3000, 800, 60000, 0.6},    // short, mildly skewed rows
+      {2000, 1500, 120000, 0.9},  // medium rows
+      {1000, 2000, 150000, 1.1},  // long, highly skewed rows
+  };
+  std::uint64_t seed = 7;
+  for (const auto& shape : shapes) {
+    SyntheticSpec spec;
+    spec.users = shape.users;
+    spec.items = shape.items;
+    spec.nnz = shape.nnz;
+    spec.user_alpha = shape.alpha;
+    spec.seed = seed++;
+    datasets.push_back({"synthetic" + std::to_string(spec.seed),
+                        generate_synthetic_csr(spec), {5, 10, 30}});
+  }
+  datasets.push_back({"YMR4/8", make_replica("YMR4", 8.0), {10}});
+  datasets.push_back({"NTFX/512", make_replica("NTFX", 512.0), {10}});
 
-  const auto cpu = devsim::xeon_e5_2670_dual();
-  EXPECT_EQ(recommend_group_size(10, cpu), cpu.simd_width);
+  // The caller's own group sizes: two on the grid, one off it.
+  constexpr int kCallerSizes[] = {8, 32, 128};
+  struct Case {
+    const Dataset* data;
+    int k;
+    const char* device;
+    TunedConfig picked{};
+    double oracle = -1;
+    // score_variants' best at each of kCallerSizes.
+    double caller_best[std::size(kCallerSizes)] = {};
+  };
+  std::vector<Case> cases;
+  for (const Dataset& d : datasets) {
+    for (const int k : d.ks) {
+      for (const char* dev : {"gpu", "cpu", "mic"}) {
+        cases.push_back({&d, k, dev});
+      }
+    }
+  }
+
+  // Each case makes ~150 accounting runs: spread the cases over the pool,
+  // then check them on this thread.
+  ThreadPool::global().parallel_for(
+      0, cases.size(), [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t i = b; i < e; ++i) {
+          Case& c = cases[i];
+          const auto profile = devsim::profile_by_name(c.device);
+          AlsOptions options;
+          options.k = c.k;
+          options.iterations = 1;
+          options.num_groups = 2048;
+          for (const int ws : {8, 16, 32, 64}) {
+            for (const int tile : {0, 32, 64, 128}) {
+              AlsOptions grid = options;
+              grid.group_size = ws;
+              grid.tile_rows = tile;
+              for (const auto& s :
+                   score_variants(c.data->train, grid, profile)) {
+                if (c.oracle < 0 || s.modeled_seconds < c.oracle) {
+                  c.oracle = s.modeled_seconds;
+                }
+              }
+            }
+          }
+          c.picked = select_config(c.data->train, options, profile);
+          for (std::size_t j = 0; j < std::size(kCallerSizes); ++j) {
+            AlsOptions caller = options;
+            caller.group_size = kCallerSizes[j];
+            c.caller_best[j] = score_variants(c.data->train, caller, profile)
+                                   .front()
+                                   .modeled_seconds;
+          }
+        }
+      });
+
+  for (const Case& c : cases) {
+    const std::string where =
+        c.data->name + "/k" + std::to_string(c.k) + "/" + c.device;
+    EXPECT_NEAR(c.picked.modeled_seconds, c.oracle, 1e-9 * c.oracle)
+        << where << ": picked " << c.picked.to_string();
+    // Never worse than the paper's exhaustive variant choice at the
+    // caller's own launch shape, on or off the grid.
+    for (std::size_t j = 0; j < std::size(kCallerSizes); ++j) {
+      EXPECT_LE(c.picked.modeled_seconds, c.caller_best[j] * (1 + 1e-9))
+          << where << " ws=" << kCallerSizes[j];
+    }
+  }
 }
 
 TEST(VariantSelect, VariantNamesRoundTrip) {

@@ -59,8 +59,8 @@ TEST(EndToEnd, AllFourReplicasTrainOnAllDevices) {
     for (const char* dev : {"cpu", "gpu", "mic"}) {
       const auto profile = devsim::profile_by_name(dev);
       devsim::Device device(profile);
-      AlsSolver solver(train, options,
-                       select_variant_heuristic(train, options, profile),
+      const TunedConfig tuned = select_config(train, options, profile);
+      AlsSolver solver(train, apply_tuning(options, tuned), tuned.variant,
                        device);
       solver.run({});
       EXPECT_GT(solver.modeled_seconds(), 0.0) << info.abbr << " " << dev;

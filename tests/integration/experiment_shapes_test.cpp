@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "als/solver.hpp"
-#include "als/variant_select.hpp"
 #include "baselines/cumf_like.hpp"
 #include "data/datasets.hpp"
 

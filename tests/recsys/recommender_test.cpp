@@ -58,6 +58,17 @@ TEST(Recommender, SameFactorsOnEveryDevice) {
   EXPECT_EQ(b.user_factors(), c.user_factors());
 }
 
+TEST(Recommender, AutoTrainMatchesExplicitVariantBitwise) {
+  // The auto overload may pick any variant, group size and tile; none of
+  // them changes the arithmetic.
+  const Csr train = planted_train();
+  Recommender selected, fixed;
+  selected.train(train, opts(), devsim::k20c());
+  fixed.train(train, opts(), devsim::k20c(), AlsVariant::batch_local_reg());
+  EXPECT_EQ(selected.user_factors(), fixed.user_factors());
+  EXPECT_EQ(selected.item_factors(), fixed.item_factors());
+}
+
 TEST(Recommender, PredictBeforeTrainThrows) {
   Recommender rec;
   EXPECT_THROW(rec.predict(0, 0), Error);
