@@ -51,33 +51,14 @@
 //                       invariant — request conservation, staleness bound —
 //                       was violated)
 //   alsmf_cli devices   [--profile file]
-//   alsmf_cli check-kernels [--profiles cpu,gpu,mic] [--users 300]
-//                       [--items 200] [--nnz 6000] [--k 10] [--json out.json]
-//                       (checked-execution sweep of every kernel variant;
-//                       exits non-zero on any finding — the CI gate)
-//   alsmf_cli analyze-kernels [--profiles cpu,gpu,mic] [--users 300]
-//                       [--items 200] [--nnz 6000] [--k 10] [--group-size 32]
-//                       [--groups 48] [--tile-rows N] [--json out.json]
-//                       (static sweep: deep lint + a per-kernel static
-//                       profile from the access IR, zero launches; exits
-//                       non-zero on any deep-lint diagnostic)
-//   alsmf_cli verify-kernels [--profiles cpu,gpu,mic] [--k 10]
-//                       [--group-size 32] [--tile-rows N] [--json out.json]
-//                       (static bounds & race verifier over the access IR:
-//                       every reference must be proven in bounds and every
-//                       may-happen-in-parallel pair proven race-free under
-//                       the ALS buffer contracts; unprovable fails — exits
-//                       non-zero on any non-proven verdict, zero launches)
-//   alsmf_cli analyze-precision [--k 10] [--group-size 32] [--tile-rows N]
-//                       [--omega-max 4096] [--rating-bound 5] [--witness 0|1]
-//                       [--json out.json]
-//                       (static precision certificates for every kernel
-//                       flavor — interval x rounding-error abstract
-//                       interpretation under the ALS operating assumptions —
-//                       plus the dynamic shadow-precision witness on the
-//                       fp16/bf16 flavors; exits non-zero if any flavor is
-//                       overflow-possible, nan-possible at the output store,
-//                       or the static bound fails to dominate the witness)
+//   alsmf_cli certify-kernels [--k 10] [--group-size 32] [--json out.json]
+//                       (the kernel gate: every devsim kernel under checked
+//                       execution on cpu/gpu/mic, and every generated OpenCL
+//                       flavor, at the default and a 4-row staging tile,
+//                       through deep lint, static profiles, the bounds &
+//                       race verifier and the precision certificate with
+//                       its shadow witness; exits non-zero unless every leg
+//                       is clean — see docs/kernel-checking.md)
 //
 // Ratings files use the paper's `<userID, itemID, rating>` text format.
 #include <fstream>
@@ -87,10 +68,7 @@
 
 #include <cstdlib>
 
-#include "als/analyze_kernels.hpp"
-#include "als/check_kernels.hpp"
-#include "als/precision_kernels.hpp"
-#include "als/verify_kernels.hpp"
+#include "als/certify_kernels.hpp"
 #include "als/metrics.hpp"
 #include "als/multi_device.hpp"
 #include "als/out_of_core.hpp"
@@ -715,187 +693,80 @@ int cmd_devices(const CliArgs& args) {
   return 0;
 }
 
-int cmd_check_kernels(const CliArgs& args) {
-  CheckKernelsOptions options;
-  options.users = args.get_long("users", options.users);
-  options.items = args.get_long("items", options.items);
-  options.nnz = args.get_long("nnz", options.nnz);
+int cmd_certify_kernels(const CliArgs& args) {
+  CertifyKernelsOptions options;
   options.k = static_cast<int>(args.get_long("k", options.k));
   options.group_size =
       static_cast<int>(args.get_long("group-size", options.group_size));
-  options.num_groups = static_cast<std::size_t>(
-      args.get_long("groups", static_cast<long>(options.num_groups)));
-  if (auto profiles = args.get("profiles")) {
-    options.profiles.clear();
-    std::stringstream ss(*profiles);
-    std::string name;
-    while (std::getline(ss, name, ',')) {
-      if (!name.empty()) options.profiles.push_back(name);
-    }
-  }
 
-  const auto result = check_kernels(options);
+  const KernelCertificate cert = certify_kernels(options);
   if (auto json_path = args.get("json")) {
     std::ofstream out(*json_path);
-    out << result.to_json() << "\n";
+    out << cert.to_json() << "\n";
   }
-  std::size_t clean_entries = 0;
-  for (const auto& entry : result.entries) {
-    if (entry.report.clean()) {
-      ++clean_entries;
-      continue;
-    }
+  for (const auto& entry : cert.checked) {
+    if (entry.report.clean()) continue;
     std::cout << entry.profile << "/" << entry.kernel << ": "
               << entry.report.total_findings << " finding(s)\n";
     for (const auto& finding : entry.report.findings) {
       std::cout << "  " << finding.to_string() << "\n";
     }
   }
-  for (const auto& issue : result.lint_issues) {
-    std::cout << "lint: " << issue << "\n";
-  }
-  std::cout << "check-kernels: " << result.entries.size() << " kernel/profile "
-            << "combinations, " << result.launches << " checked launches, "
-            << clean_entries << " clean, " << result.total_findings
-            << " finding(s), " << result.lint_issues.size()
-            << " lint issue(s)\n";
-  return result.clean() ? 0 : 1;
-}
+  std::cout << "checked execution: " << cert.checked.size()
+            << " kernel/profile combinations, " << cert.checked_launches
+            << " checked launches, " << cert.checked_findings
+            << " finding(s)\n";
 
-int cmd_analyze_kernels(const CliArgs& args) {
-  AnalyzeKernelsOptions options;
-  options.users = args.get_long("users", options.users);
-  options.items = args.get_long("items", options.items);
-  options.nnz = args.get_long("nnz", options.nnz);
-  options.k = static_cast<int>(args.get_long("k", options.k));
-  options.group_size =
-      static_cast<int>(args.get_long("group-size", options.group_size));
-  options.num_groups = static_cast<std::size_t>(
-      args.get_long("groups", static_cast<long>(options.num_groups)));
-  options.tile_rows = args.get_long("tile-rows", options.tile_rows);
-  if (auto profiles = args.get("profiles")) {
-    options.profiles.clear();
-    std::stringstream ss(*profiles);
-    std::string name;
-    while (std::getline(ss, name, ',')) {
-      if (!name.empty()) options.profiles.push_back(name);
+  for (const auto& tile : cert.tiles) {
+    for (const auto& err : tile.errors) std::cout << "error: " << err << "\n";
+    for (const auto& issue : tile.lint_issues) {
+      std::cout << "deep-lint: " << issue << "\n";
     }
-  }
-
-  const auto result = analyze_kernels(options);
-  if (auto json_path = args.get("json")) {
-    std::ofstream out(*json_path);
-    out << result.to_json() << "\n";
-  }
-  for (const auto& entry : result.entries) {
-    const auto& d = entry.data;
-    std::cout << entry.profile << "/" << entry.kernel << ": groups=" << d.groups
-              << " passes=" << d.passes << " tile=" << d.tile_rows
-              << " local=" << d.local_alloc_bytes << "B regs="
-              << d.register_estimate << " offchip="
-              << static_cast<long long>(d.counters.global_bytes +
-                                        d.counters.spill_bytes)
-              << "B scattered=" << d.counters.scattered_accesses << "\n";
-  }
-  for (const auto& issue : result.lint_issues) {
-    std::cout << "deep-lint: " << issue << "\n";
-  }
-  std::cout << "analyze-kernels: " << result.entries.size()
-            << " kernel/profile combinations, " << result.lint_issues.size()
-            << " diagnostic(s)\n";
-  return result.clean() ? 0 : 1;
-}
-
-int cmd_analyze_precision(const CliArgs& args) {
-  PrecisionKernelsOptions options;
-  options.k = static_cast<int>(args.get_long("k", options.k));
-  options.group_size =
-      static_cast<int>(args.get_long("group-size", options.group_size));
-  options.tile_rows = args.get_long("tile-rows", options.tile_rows);
-  options.witness = args.get_long("witness", 1) != 0;
-  auto& as = options.assumptions;
-  as.omega_max = static_cast<double>(args.get_long(
-      "omega-max", static_cast<long>(as.omega_max)));
-  as.rating_bound = static_cast<double>(args.get_long(
-      "rating-bound", static_cast<long>(as.rating_bound)));
-
-  const auto result = analyze_precision_kernels(options);
-  if (auto json_path = args.get("json")) {
-    std::ofstream out(*json_path);
-    out << result.to_json() << "\n";
-  }
-  for (const auto& err : result.errors) {
-    std::cout << "error: " << err << "\n";
-  }
-  std::size_t certified = 0, witnessed = 0;
-  for (const auto& e : result.entries) {
-    const auto& r = e.report;
-    certified += r.certified ? 1 : 0;
-    witnessed += e.witness_ran ? 1 : 0;
-    std::cout << e.kernel << ": storage=" << r.storage
-              << (r.certified ? " certified" : " UNCERTIFIED")
-              << " |x|<=" << r.output_ceiling << " err<=" << r.output.err;
-    if (e.witness_ran) {
-      std::cout << " observed=" << e.observed_err
-                << (e.dominated ? " dominated" : " DOMINANCE-VIOLATED")
-                << (e.witness_overflow ? " OVERFLOWED" : "");
+    for (const auto& d : tile.diagnostics) std::cout << d << "\n";
+    long refs = 0, safe = 0, pairs = 0, races = 0, unprovable = 0;
+    std::size_t certified = 0, witnessed = 0;
+    for (const auto& f : tile.flavors) {
+      refs += f.verify.refs_total;
+      safe += f.verify.refs_proven_safe;
+      pairs += f.verify.pairs_checked;
+      races += f.verify.races_proven;
+      unprovable += f.verify.refs_unprovable + f.verify.races_unprovable;
+      const auto& p = f.precision;
+      certified += p.certified ? 1 : 0;
+      witnessed += f.witness.ran ? 1 : 0;
+      if (f.clean()) continue;
+      std::cout << f.kernel << ": storage=" << p.storage
+                << (p.certified ? " certified" : " UNCERTIFIED")
+                << " |x|<=" << p.output_ceiling << " err<=" << p.output.err;
+      if (f.witness.ran) {
+        std::cout << " observed=" << f.witness.observed_err
+                  << (f.dominated ? " dominated" : " DOMINANCE-VIOLATED")
+                  << (f.witness.overflow_observed ? " OVERFLOWED" : "");
+      } else if (f.storage != StoragePrecision::kFp32) {
+        std::cout << " NOT-WITNESSED";
+      }
+      std::cout << (f.verify.clean() ? "" : " UNVERIFIED") << "\n";
+      for (const auto& finding : p.findings) {
+        if (!ocl::analyze::precision::gates_certification(finding.kind)) {
+          continue;
+        }
+        std::cout << "  " << to_string(finding.kind) << " line "
+                  << finding.line << " " << finding.what << ": "
+                  << finding.message << "\n";
+      }
     }
-    std::cout << "\n";
-    for (const auto& f : r.findings) {
-      if (!ocl::analyze::precision::gates_certification(f.kind)) continue;
-      std::cout << "  " << to_string(f.kind) << " line " << f.line << " "
-                << f.what << ": " << f.message << "\n";
-    }
+    std::cout << "tile " << tile.tile_rows << ": "
+              << tile.static_profiles.size() << " static profiles, "
+              << tile.lint_issues.size() << " lint diagnostic(s); "
+              << tile.flavors.size() << " flavors, " << refs
+              << " references (" << safe << " proven safe), " << pairs
+              << " MHP pairs (" << races << " races), " << unprovable
+              << " unprovable; " << certified << " certified, " << witnessed
+              << " witnessed; " << tile.errors.size() << " error(s)\n";
   }
-  std::cout << "analyze-precision: " << result.entries.size() << " kernels, "
-            << certified << " certified, " << witnessed
-            << " witnessed, " << result.errors.size() << " error(s)\n";
-  return result.clean() ? 0 : 1;
-}
-
-int cmd_verify_kernels(const CliArgs& args) {
-  VerifyKernelsOptions options;
-  options.k = static_cast<int>(args.get_long("k", options.k));
-  options.group_size =
-      static_cast<int>(args.get_long("group-size", options.group_size));
-  options.tile_rows = args.get_long("tile-rows", options.tile_rows);
-  if (auto profiles = args.get("profiles")) {
-    options.profiles.clear();
-    std::stringstream ss(*profiles);
-    std::string name;
-    while (std::getline(ss, name, ',')) {
-      if (!name.empty()) options.profiles.push_back(name);
-    }
-  }
-
-  const auto result = verify_kernels(options);
-  if (auto json_path = args.get("json")) {
-    std::ofstream out(*json_path);
-    out << result.to_json() << "\n";
-  }
-  for (const auto& err : result.errors) {
-    std::cout << "error: " << err << "\n";
-  }
-  for (const auto& d : result.diagnostics) {
-    std::cout << d << "\n";
-  }
-  long refs = 0, safe = 0, violating = 0, unprovable = 0;
-  long pairs = 0, races = 0, races_unprovable = 0;
-  for (const auto& e : result.entries) {
-    refs += e.report.refs_total;
-    safe += e.report.refs_proven_safe;
-    violating += e.report.refs_proven_violating;
-    unprovable += e.report.refs_unprovable;
-    pairs += e.report.pairs_checked;
-    races += e.report.races_proven;
-    races_unprovable += e.report.races_unprovable;
-  }
-  std::cout << "verify-kernels: " << result.entries.size()
-            << " kernel/profile combinations, " << refs << " references ("
-            << safe << " proven safe, " << violating << " violating, "
-            << unprovable << " unprovable), " << pairs << " MHP pairs ("
-            << races << " races, " << races_unprovable << " unprovable)\n";
-  return result.clean() ? 0 : 1;
+  std::cout << "certify-kernels: " << (cert.clean() ? "clean" : "NOT CLEAN")
+            << "\n";
+  return cert.clean() ? 0 : 1;
 }
 
 }  // namespace
@@ -906,9 +777,7 @@ int main(int argc, char** argv) {
   if (args.positional().empty()) {
     std::cerr << "usage: alsmf_cli <train|train-multi|predict|recommend|"
                  "evaluate|tune|shard|train-ooc|rank|serve|pipeline|devices|"
-                 "check-kernels|analyze-kernels|verify-kernels|"
-                 "analyze-precision> "
-                 "[options]\n";
+                 "certify-kernels> [options]\n";
     return 2;
   }
   const std::string& cmd = args.positional().front();
@@ -925,10 +794,7 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "pipeline") return cmd_pipeline(args);
     if (cmd == "devices") return cmd_devices(args);
-    if (cmd == "check-kernels") return cmd_check_kernels(args);
-    if (cmd == "analyze-kernels") return cmd_analyze_kernels(args);
-    if (cmd == "verify-kernels") return cmd_verify_kernels(args);
-    if (cmd == "analyze-precision") return cmd_analyze_precision(args);
+    if (cmd == "certify-kernels") return cmd_certify_kernels(args);
     std::cerr << "unknown command: " << cmd << "\n";
     return 2;
   } catch (const std::exception& e) {

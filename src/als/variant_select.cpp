@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "als/kernel_model.hpp"
+#include "als/row_solver.hpp"
 #include "als/solver.hpp"
 #include "common/error.hpp"
 #include "devsim/cost_model.hpp"
@@ -75,6 +77,26 @@ double static_iteration_seconds(const az::KernelIR& kernel,
          devsim::estimate_time(py.counters, profile).total_s();
 }
 
+// Scratch-pad bytes one work-group of the batched kernel requests, in the
+// order and 64-byte alignment BatchedKernel allocates them (kernels.cpp):
+// the k×k system, the rhs, the row solver's scratch and, for the
+// local-memory variant, the staging tile sized against what is left.
+std::size_t batched_local_bytes(const AlsVariant& v, int k, int tile_rows,
+                                std::size_t solver_reals,
+                                std::size_t capacity) {
+  const auto aligned = [](std::size_t reals) {
+    return (reals * sizeof(real) + 63) / 64 * 64;
+  };
+  const auto kk = static_cast<std::size_t>(k);
+  std::size_t bytes = aligned(kk * kk) + aligned(kk) + aligned(solver_reals);
+  if (v.use_local && bytes <= capacity) {
+    const std::size_t rows =
+        kernel_model::staging_tile_rows(k, capacity - bytes, tile_rows);
+    bytes += aligned(rows * kk) + aligned(rows);
+  }
+  return bytes;
+}
+
 template <class T>
 void sort_by_time(std::vector<T>& v) {
   std::stable_sort(v.begin(), v.end(), [](const T& a, const T& b) {
@@ -140,8 +162,13 @@ TunedConfig select_config(const Csr& train, const AlsOptions& options,
                           const devsim::DeviceProfile& profile) {
   validate(options);  // the kernel generator assumes a sane k
   // Step 1: rank the whole grid with the static cost model, zero runs.
+  // A configuration whose scratch-pad request exceeds the profile's local
+  // capacity would fail to launch, so it is no candidate.
   const az::DatasetStats stats_x = row_stats(train);
   const az::DatasetStats stats_y = col_stats(train);
+  const std::size_t capacity = devsim::local_capacity_bytes(profile);
+  const std::size_t solver_reals =
+      make_row_solver(options)->scratch_reals(options.k);
   // The variant loop is innermost so that, among configurations the static
   // model prices the same (tiles longer than most rows tie; the vector
   // toggle can tie its scalar twin), the stable sort puts distinct
@@ -161,11 +188,25 @@ TunedConfig select_config(const Csr& train, const AlsOptions& options,
       for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
         const AlsVariant v = AlsVariant::from_mask(mask);
         if (tile != 0 && !v.use_local) continue;  // no tile to stage
+        if (batched_local_bytes(v, options.k, tile, solver_reals, capacity) >
+            capacity) {
+          continue;
+        }
         ranked.push_back({v, ws, tile,
                           static_iteration_seconds(kernels[mask], stats_x,
                                                    stats_y, launch, profile)});
       }
     }
+  }
+  if (ranked.empty()) {
+    throw Error("select_config: no configuration fits at k = " +
+                std::to_string(options.k) +
+                ": every batched variant needs at least " +
+                std::to_string(batched_local_bytes(AlsVariant::batching_only(),
+                                                   options.k, 0, solver_reals,
+                                                   capacity)) +
+                " bytes of local memory per work-group, more than the " +
+                std::to_string(capacity) + " bytes of " + profile.name);
   }
   sort_by_time(ranked);
 
@@ -177,7 +218,7 @@ TunedConfig select_config(const Csr& train, const AlsOptions& options,
   RunConfig one;
   one.iterations = 1;
   TunedConfig best;
-  for (std::size_t i = 0; i < 2; ++i) {
+  for (std::size_t i = 0; i < std::min<std::size_t>(2, ranked.size()); ++i) {
     TunedConfig c = ranked[i];
     devsim::Device device(profile);
     AlsSolver solver(train, apply_tuning(opts, c), c.variant, device);

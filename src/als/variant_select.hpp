@@ -53,7 +53,10 @@ struct TunedConfig {
 
 /// Picks the configuration to run. The grid is the 8 batched variants ×
 /// group size {8, 16, 32, 64} × staging tile {auto, 32, 64, 128}, the tile
-/// applying to local-memory variants only (80 configurations). Every
+/// applying to local-memory variants only (80 configurations).
+/// Configurations whose scratch-pad request (system, rhs, row-solver scratch
+/// and staging tile) exceeds the profile's local capacity are dropped; if
+/// none is left, throws Error naming k and the capacity. Every remaining
 /// configuration is ranked by the static cost model (each variant source is
 /// lowered once per group size), then the two best-ranked run one
 /// accounting-only iteration each and the faster is returned, its

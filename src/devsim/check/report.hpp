@@ -3,7 +3,8 @@
 // Each finding attributes one defect class to a (kernel, section, group,
 // lane, buffer) coordinate so a kernel author can map it straight back to
 // the OpenCL source position it mirrors. Reports merge across launches and
-// export to JSON for the `alsmf_cli check-kernels` gate.
+// export to JSON for the checked-execution leg of `alsmf_cli
+// certify-kernels`.
 #pragma once
 
 #include <cstddef>

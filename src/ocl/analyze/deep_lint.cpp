@@ -124,20 +124,27 @@ void check_kernel(const KernelIR& ir, const DeepLintOptions& options,
 
 }  // namespace
 
-LintReport deep_lint_kernel_source(const std::string& source,
-                                   const DeepLintOptions& options) {
+LintReport deep_lint_kernel_ir(const std::string& source,
+                               const std::vector<KernelIR>& kernels,
+                               const DeepLintOptions& options) {
   LintReport report =
       lint_kernel_source(source, options.expected_kernels, options.limits);
+  for (const auto& ir : kernels) check_kernel(ir, options, report);
+  return report;
+}
+
+LintReport deep_lint_kernel_source(const std::string& source,
+                                   const DeepLintOptions& options) {
   try {
-    const TranslationUnit tu = parse_translation_unit(source);
-    for (const auto& ir : lower_kernels(tu)) {
-      check_kernel(ir, options, report);
-    }
+    return deep_lint_kernel_ir(
+        source, lower_kernels(parse_translation_unit(source)), options);
   } catch (const ParseError& e) {
+    LintReport report =
+        lint_kernel_source(source, options.expected_kernels, options.limits);
     report.issues.push_back(
         {e.line, "deep: unanalyzable kernel source: " + e.message});
+    return report;
   }
-  return report;
 }
 
 }  // namespace alsmf::ocl::analyze

@@ -8,7 +8,9 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
+#include "ocl/analyze/ir.hpp"
 #include "ocl/kernel_lint.hpp"
 
 namespace alsmf::ocl::analyze {
@@ -27,5 +29,11 @@ struct DeepLintOptions {
 /// unanalyzable kernel must fail the gate, not pass silently.
 LintReport deep_lint_kernel_source(const std::string& source,
                                    const DeepLintOptions& options = {});
+
+/// The same diagnostics for a caller that already lowered `source` to
+/// `kernels` (lower_kernels(parse_translation_unit(source))).
+LintReport deep_lint_kernel_ir(const std::string& source,
+                               const std::vector<KernelIR>& kernels,
+                               const DeepLintOptions& options = {});
 
 }  // namespace alsmf::ocl::analyze

@@ -1,10 +1,10 @@
-// The single enumeration of every generated kernel flavor. All sweeps that
-// claim to cover "all generated kernels" — golden CRC pinning, deep lint +
-// static profiles (analyze-kernels), the bounds/race verifier
-// (verify-kernels), dynamic checked execution (check-kernels), precision
-// certification (analyze-precision), and file export — derive their lists
-// from enumerate_kernel_flavors, so adding a flavor family here enrolls it
-// in every gate at once and no gate can silently skip one.
+// The single enumeration of every generated kernel flavor. Everything that
+// claims to cover "all generated kernels" — golden CRC pinning, the static
+// legs of the kernel certificate (deep lint, static profiles, the
+// bounds/race verifier and precision certification; als/certify_kernels.hpp)
+// and file export — derives its list from enumerate_kernel_flavors, so
+// adding a flavor family here enrolls it in every gate at once and no gate
+// can silently skip one.
 #pragma once
 
 #include <string>

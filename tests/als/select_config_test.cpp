@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "als/solver.hpp"
 #include "als/variant_select.hpp"
 #include "data/datasets.hpp"
+#include "devsim/device.hpp"
 #include "testing/util.hpp"
 
 namespace alsmf {
@@ -65,6 +71,75 @@ TEST(Autotune, RejectsInvalidOptions) {
   AlsOptions bad = opts();
   bad.k = 0;
   EXPECT_THROW(select_config(train, bad, devsim::k20c()), Error);
+}
+
+TEST(Autotune, PicksOnlyConfigurationsThatFitLocalMemory) {
+  // On the GPU every batched kernel keeps the k×k system in the 48 KB
+  // scratch-pad: with the exact solver, at k = 110 only the non-local
+  // variants fit and from k = 111 none does; CG's per-row scratch crowds the
+  // staging tile out from k = 108. The oracle is the launch itself: a grid
+  // point fits when one accounting iteration of it does not throw.
+  const Csr train = testing::random_csr(300, 200, 0.1, 17);
+  const devsim::DeviceProfile gpu = devsim::k20c();
+  struct Case {
+    RowSolverKind solver;
+    int k;
+    std::size_t fits;  // of the 80 grid points
+  };
+  for (const Case& c : {Case{RowSolverKind::kCholesky, 108, 80},
+                        Case{RowSolverKind::kCholesky, 109, 80},
+                        Case{RowSolverKind::kCholesky, 110, 16},
+                        Case{RowSolverKind::kCholesky, 111, 0},
+                        Case{RowSolverKind::kCg, 108, 16},
+                        Case{RowSolverKind::kCg, 110, 0}}) {
+    SCOPED_TRACE("k = " + std::to_string(c.k) + ", row solver " +
+                 std::to_string(static_cast<int>(c.solver)));
+    AlsOptions o = opts();
+    o.k = c.k;
+    o.row_solver = c.solver;
+    AlsOptions accounting = o;
+    accounting.functional = false;
+    RunConfig one;
+    one.iterations = 1;
+    std::vector<TunedConfig> feasible;
+    for (const int ws : {8, 16, 32, 64}) {
+      for (const int tile : {0, 32, 64, 128}) {
+        for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
+          const TunedConfig point{AlsVariant::from_mask(mask), ws, tile};
+          if (tile != 0 && !point.variant.use_local) continue;
+          devsim::Device device(gpu);
+          AlsSolver solver(train, apply_tuning(accounting, point),
+                           point.variant, device);
+          try {
+            solver.run(one);
+            feasible.push_back(point);
+          } catch (const Error&) {
+          }
+        }
+      }
+    }
+    EXPECT_EQ(feasible.size(), c.fits);
+    if (feasible.empty()) {
+      try {
+        select_config(train, o, gpu);
+        ADD_FAILURE() << "no configuration fits, yet one was picked";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("k = " + std::to_string(c.k)), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("49152"), std::string::npos) << what;
+      }
+      continue;
+    }
+    const TunedConfig pick = select_config(train, o, gpu);
+    EXPECT_TRUE(std::any_of(feasible.begin(), feasible.end(),
+                            [&](const TunedConfig& f) {
+                              return f.variant == pick.variant &&
+                                     f.group_size == pick.group_size &&
+                                     f.tile_rows == pick.tile_rows;
+                            }))
+        << pick.to_string();
+  }
 }
 
 TEST(Autotune, ToStringDescribesConfig) {

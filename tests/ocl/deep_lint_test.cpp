@@ -1,6 +1,6 @@
 // Deep-lint diagnostics: each check is exercised with a minimal synthetic
 // kernel that provably has the defect, and the generated kernels are pinned
-// clean — the analyze-kernels CI gate depends on both directions.
+// clean — the certify-kernels CI gate depends on both directions.
 #include "ocl/analyze/deep_lint.hpp"
 
 #include <gtest/gtest.h>

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "als/verify_kernels.hpp"
+#include "als/certify_kernels.hpp"
 #include "devsim/check/defects.hpp"
 #include "devsim/device.hpp"
 #include "devsim/profile.hpp"

@@ -121,5 +121,21 @@ TEST(PrecisionCertify, Fp32ShadowLegIsExact) {
   }
 }
 
+TEST(PrecisionCertify, TighterAssumptionsStillCertify) {
+  // A smaller operating envelope can only shrink the bounds: sanity that
+  // the certificate is monotone in the assumptions.
+  const prec::PrecisionAssumptions wide;
+  prec::PrecisionAssumptions tight;
+  tight.omega_max = 256;
+  for (const KernelFlavor& f : enumerate_kernel_flavors(KernelConfig{})) {
+    const auto reports = prec::analyze_source_precision(f.source, tight);
+    ASSERT_EQ(reports.size(), 1u) << f.name;
+    EXPECT_TRUE(reports[0].certified) << f.name;
+    EXPECT_LE(reports[0].output.err,
+              prec::analyze_source_precision(f.source, wide)[0].output.err)
+        << f.name;
+  }
+}
+
 }  // namespace
 }  // namespace alsmf::ocl
