@@ -1,5 +1,6 @@
 #include "baselines/sgd.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -24,6 +25,30 @@ inline void sgd_step(const Triplet& t, Matrix& x, Matrix& y, int k, real lr,
     const real yf = yi[f];
     xu[f] += lr * (err * yf - lambda * xf);
     yi[f] += lr * (err * xf - lambda * yf);
+  }
+}
+
+/// sgd_step for Hogwild: every coordinate is read and updated atomically
+/// (relaxed), the model of Recht et al. Reads may be stale, but no update is
+/// lost; two threads running `+=` on one coordinate drop one of the two
+/// updates, and on small, hot factor matrices enough of them are dropped to
+/// slow convergence well behind the sequential order.
+inline void hogwild_step(const Triplet& t, Matrix& x, Matrix& y, int k,
+                         real lr, real lambda) {
+  using Coord = std::atomic_ref<real>;
+  constexpr auto relaxed = std::memory_order_relaxed;
+  real* xu = x.row(t.row).data();
+  real* yi = y.row(t.col).data();
+  real dot = 0;
+  for (int f = 0; f < k; ++f) {
+    dot += Coord(xu[f]).load(relaxed) * Coord(yi[f]).load(relaxed);
+  }
+  const real err = t.value - dot;
+  for (int f = 0; f < k; ++f) {
+    const real xf = Coord(xu[f]).load(relaxed);
+    const real yf = Coord(yi[f]).load(relaxed);
+    Coord(xu[f]).fetch_add(lr * (err * yf - lambda * xf), relaxed);
+    Coord(yi[f]).fetch_add(lr * (err * xf - lambda * yf), relaxed);
   }
 }
 
@@ -59,8 +84,9 @@ SgdResult sgd_train(const Coo& train, const SgdOptions& options,
       pool->parallel_for(0, order.size(),
                          [&](std::size_t b, std::size_t e, unsigned) {
                            for (std::size_t i = b; i < e; ++i) {
-                             sgd_step(entries[order[i]], result.x, result.y,
-                                      options.k, lr, options.lambda);
+                             hogwild_step(entries[order[i]], result.x,
+                                          result.y, options.k, lr,
+                                          options.lambda);
                            }
                          });
     } else {

@@ -29,8 +29,9 @@ struct SgdResult {
 };
 
 /// Trains factors with SGD over the rating triplets. With hogwild=true the
-/// updates run lock-free on the pool (benign races, as in the paper [27]);
-/// otherwise one thread processes a deterministic shuffled order.
+/// updates run lock-free on the pool with atomic per-coordinate adds (the
+/// Hogwild model of the paper [27]: stale reads, no lost update); otherwise
+/// one thread processes a deterministic shuffled order.
 SgdResult sgd_train(const Coo& train, const SgdOptions& options,
                     ThreadPool* pool = nullptr);
 
