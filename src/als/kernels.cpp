@@ -86,7 +86,9 @@ class BatchedKernel {
     const UpdateSpans g = make_spans(ctx, a_);
 
     // Staging tile for the local-memory variant: chunks of y rows plus the
-    // matching ratings, sized to the remaining scratch-pad capacity.
+    // matching ratings, sized to the remaining scratch-pad capacity. It is
+    // allocated so occupancy pricing sees it; solve_row declares its
+    // accesses but moves no data through it.
     check::LocalSpan<real> tile, rstage;
     std::size_t tile_rows = 0;
     if (v.use_local) {
@@ -243,49 +245,39 @@ class BatchedKernel {
     ctx.section("S1");
     g.cols.mark_read(row_begin, cols.size());
     g.vals.mark_read(row_begin, vals.size());
-    if (a_.variant.use_local && tile_rows > 0) {
-      // Chunked staging: copy up to tile_rows gathered y rows (and their
-      // ratings) into the scratch-pad, then accumulate from the tile.
-      const auto ws = static_cast<std::size_t>(ctx.group_size());
-      std::fill(smat.begin(), smat.end(), real{0});
-      std::fill(svec.begin(), svec.end(), real{0});
-      for (std::size_t base = 0; base < cols.size(); base += tile_rows) {
-        const std::size_t chunk = std::min(tile_rows, cols.size() - base);
-        // Staging phase: lane p mod ws copies one gathered y row (and its
-        // rating) into the tile.
-        for (std::size_t p = 0; p < chunk; ++p) {
-          ctx.set_lane(static_cast<int>(p % ws));
-          g.src.mark_read(static_cast<std::size_t>(cols[base + p]) * ku, ku);
-          auto yrow = a_.src->row(cols[base + p]);
-          std::copy(yrow.begin(), yrow.end(),
-                    tile.begin() + static_cast<std::ptrdiff_t>(p * ku));
+    // Lane p mod ws gathers row p of each chunk. The local-memory variant
+    // stages chunks of up to tile_rows gathered y rows (and their ratings)
+    // in the scratch-pad, and lane 0 consumes each one between a barrier
+    // pair. Staging is declared here, not performed: the tile would only
+    // hold copies of src rows, which no group writes during a launch, and
+    // accumulate_gram's order contract makes staged and gathered sums
+    // bitwise equal, so the values come straight from src. The generated
+    // OpenCL kernels move the data.
+    const bool staged = tile_rows > 0;
+    const std::size_t step = staged ? tile_rows : cols.size();
+    const auto ws = static_cast<std::size_t>(ctx.group_size());
+    for (std::size_t base = 0; base < cols.size(); base += step) {
+      const std::size_t chunk = std::min(step, cols.size() - base);
+      for (std::size_t p = 0; p < chunk; ++p) {
+        ctx.set_lane(static_cast<int>(p % ws));
+        g.src.mark_read(static_cast<std::size_t>(cols[base + p]) * ku, ku);
+        if (staged) {
           tile.mark_write(p * ku, ku);
           rstage.mark_write(p, 1);
-          rstage.data()[p] = vals[base + p];
         }
-        // The tile is consumed only after the group synchronizes (first
-        // barrier of the pair record_s1 prices per chunk)...
-        ctx.group_barrier();
-        ctx.set_lane(0);
-        for (std::size_t p = 0; p < chunk; ++p) {
-          tile.mark_read(p * ku, ku);
-          rstage.mark_read(p, 1);
-        }
-        accumulate_gram(tile.data(), chunk, rstage.data(), k, smat.data(),
-                        svec.data());
-        // ...and refilled only after every lane finished reading it.
-        ctx.group_barrier();
       }
-      finalize_gram(lambda, k, smat.data());
-    } else {
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        ctx.set_lane(static_cast<int>(p % static_cast<std::size_t>(
-                                              ctx.group_size())));
-        g.src.mark_read(static_cast<std::size_t>(cols[p]) * ku, ku);
-      }
-      assemble_normal_equations(cols, vals, *a_.src, lambda, k, smat.data(),
-                                svec.data());
+      if (!staged) continue;
+      // The tile is consumed only after the group synchronizes (first
+      // barrier of the pair record_s1 prices per chunk)...
+      ctx.group_barrier();
+      ctx.set_lane(0);
+      tile.mark_read(0, chunk * ku);
+      rstage.mark_read(0, chunk);
+      // ...and refilled only after every lane finished reading it.
+      ctx.group_barrier();
     }
+    assemble_normal_equations(cols, vals, *a_.src, lambda, k, smat.data(),
+                              svec.data());
     ctx.section("S3");
     ctx.set_lane(0);
     auto dst = a_.dst->row(u);

@@ -12,12 +12,13 @@
 // cost model prices. The recording formulas are documented inline and
 // verified against hand counts in tests/devsim/.
 //
-// The host arithmetic and the accounting are separate. Each row's normal
-// equations are summed by the register-blocked accumulate_gram
-// (linalg/dense.hpp) under its fixed order contract — the staged tile of
-// the local-memory variant in one call per staged chunk — while the
-// S1/S2/S3 counters come only from the record_s* formulas, which read row
-// lengths and the variant, never how the host blocks its loops.
+// The host arithmetic and the accounting are separate. Every variant sums
+// each row's normal equations through the one assemble_normal_equations
+// call (row_solve.hpp), while the S1/S2/S3 counters come only from the
+// record_s* formulas, which read row lengths and the variant, never how the
+// host blocks its loops. The local-memory variant allocates and prices its
+// staging tile and declares every staging access to the checker, but reads
+// the values straight from src; the generated OpenCL moves the data.
 #pragma once
 
 #include <string>

@@ -2,15 +2,15 @@
 // normal equations  (Σ_{i∈Ω_u} y_i y_iᵀ + λI) x_u = Σ_{i∈Ω_u} r_ui y_i
 // and solve the k×k system.
 //
-// Every assembly of these equations — the gather, flat and SELL kernels,
-// the staged tile of the local-memory variant, the reference, the guards,
-// fold-in, serving and the cuMF-like baseline — goes through the one
-// register-blocked accumulator, accumulate_gram (linalg/dense.hpp). Its
-// order contract: each element of the system adds its products over the
-// row's ratings in storage order, one multiply and one add at a time,
-// starting from zero. So every variant's functional result agrees to the
-// last bit whatever its tiling, staging or chunking. The variants differ
-// only in the device activity they record (kernels.hpp), and that
+// Every assembly of these equations — the batched (staged or not), flat
+// and SELL kernels, the reference, the guards, fold-in, serving and the
+// cuMF-like baseline — goes through the one register-blocked accumulator,
+// accumulate_gram (linalg/dense.hpp). Its order contract: each element of
+// the system adds its products over the row's ratings in storage order,
+// one multiply and one add at a time, starting from zero. So a staged
+// tile would sum to the same bits as the gathered rows, which is why the
+// local-memory kernel declares its staging instead of copying (kernels.hpp).
+// The variants differ only in the device activity they record, and that
 // accounting never depends on how the host arithmetic is blocked.
 #pragma once
 

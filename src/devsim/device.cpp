@@ -13,6 +13,13 @@
 
 namespace alsmf::devsim {
 
+namespace {
+
+/// Blocks of groups a launch sums its counters over (see Device::launch).
+constexpr std::size_t kCounterBlocks = 64;
+
+}  // namespace
+
 LaunchResult Device::launch(const std::string& name,
                             const LaunchConfig& config, const Kernel& kernel) {
   ALSMF_CHECK(config.group_size > 0);
@@ -22,7 +29,22 @@ LaunchResult Device::launch(const std::string& name,
   Timer wall;
   const double trace_start_s = trace_ ? trace_->now_s() : 0;
 
-  SectionCounters merged;
+  // Counters are summed per fixed block of consecutive groups, and the
+  // blocks are merged in index order, so the double totals depend only on
+  // num_groups: not on the pool size or on which worker claimed a block.
+  // Checked launches run the same blocks, so their counters are
+  // bit-identical to a plain launch's.
+  const std::size_t blocks = std::min(kCounterBlocks, config.num_groups);
+  std::vector<SectionCounters> partial(blocks);
+  auto run_block = [&](std::size_t i, aligned_vector<std::byte>& arena,
+                       check::LaunchChecker* checker) {
+    const std::size_t end = (i + 1) * config.num_groups / blocks;
+    for (std::size_t g = i * config.num_groups / blocks; g < end; ++g) {
+      GroupCtx ctx(profile_, g, config.group_size, config.functional,
+                   partial[i], arena, checker);
+      kernel(ctx);
+    }
+  };
   std::optional<check::LaunchChecker> checker;
   if (config.validate) {
     // Checked execution: serial group order on the calling thread keeps the
@@ -31,31 +53,21 @@ LaunchResult Device::launch(const std::string& name,
                     "validate=true requires a functional launch");
     checker.emplace(name, check_options_);
     aligned_vector<std::byte> arena;
-    for (std::size_t g = 0; g < config.num_groups; ++g) {
-      GroupCtx ctx(profile_, g, config.group_size, config.functional, merged,
-                   arena, &*checker);
-      kernel(ctx);
-    }
+    for (std::size_t i = 0; i < blocks; ++i) run_block(i, arena, &*checker);
   } else {
-    // Per-worker accumulation avoids false sharing and locks on the hot
-    // path; the pool's worker-index contract makes each slot private to one
-    // running chunk.
+    // Arenas are per worker index: the pool's worker-index contract makes
+    // each one private to one running chunk.
     ThreadPool& pool = ThreadPool::global();
-    std::vector<SectionCounters> partial(pool.size());
     std::vector<aligned_vector<std::byte>> arenas(pool.size());
-
-    pool.parallel_for(0, config.num_groups,
+    pool.parallel_for(0, blocks,
                       [&](std::size_t b, std::size_t e, unsigned w) {
-                        for (std::size_t g = b; g < e; ++g) {
-                          GroupCtx ctx(profile_, g, config.group_size,
-                                       config.functional, partial[w],
-                                       arenas[w]);
-                          kernel(ctx);
+                        for (std::size_t i = b; i < e; ++i) {
+                          run_block(i, arenas[w], nullptr);
                         }
                       });
-
-    for (const auto& p : partial) merged.merge(p);
   }
+  SectionCounters merged;
+  for (const auto& p : partial) merged.merge(p);
 
   LaunchResult result;
   result.counters = merged.total();
