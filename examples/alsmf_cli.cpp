@@ -30,8 +30,6 @@
 //   alsmf_cli recommend --model m.bin --user U [--n 10] [--ratings r.txt]
 //   alsmf_cli evaluate  --model m.bin --test t.txt
 //   alsmf_cli tune      --ratings r.txt [--iters 8]
-//   alsmf_cli shard     --ratings r.txt --out dir [--max-nnz 1000000]
-//   alsmf_cli train-ooc --shards dir --model m.bin [--k 10] [--iters 10]
 //   alsmf_cli rank      --model m.bin --train r.txt --test t.txt [--n 10]
 //   alsmf_cli serve     --model m.bin [--batch 64] [--max-wait-us 200]
 //                       [--cache 4096] [--lambda 0.1] [--max-queue 0]
@@ -71,7 +69,6 @@
 #include "als/certify_kernels.hpp"
 #include "als/metrics.hpp"
 #include "als/multi_device.hpp"
-#include "als/out_of_core.hpp"
 #include "als/solver.hpp"
 #include "als/variant_select.hpp"
 #include "common/timer.hpp"
@@ -426,67 +423,6 @@ int cmd_tune(const CliArgs& args) {
   return 0;
 }
 
-int cmd_shard(const CliArgs& args) {
-  const auto ratings_path = args.get("ratings");
-  const auto out_dir = args.get("out");
-  if (!ratings_path || !out_dir) {
-    std::cerr << "shard requires --ratings and --out\n";
-    return 2;
-  }
-  Coo ratings = read_ratings_file(*ratings_path);
-  ratings.canonicalize();
-  const Csr r = coo_to_csr(ratings);
-  const Csr rt = transpose(r);
-  const nnz_t budget = args.get_long("max-nnz", 1000000);
-  const auto sr = write_sharded(r, *out_dir + "/r", budget);
-  const auto st = write_sharded(rt, *out_dir + "/rt", budget);
-  std::cout << "sharded " << r.rows() << "x" << r.cols() << " (" << r.nnz()
-            << " nnz) into " << sr.shards.size() << " + " << st.shards.size()
-            << " shards under " << *out_dir << "\n";
-  return 0;
-}
-
-int cmd_train_ooc(const CliArgs& args) {
-  const auto shards = args.get("shards");
-  const auto model_path = args.get("model");
-  if (!shards || !model_path) {
-    std::cerr << "train-ooc requires --shards and --model\n";
-    return 2;
-  }
-  AlsOptions options;
-  options.k = static_cast<int>(args.get_long("k", 10));
-  options.lambda = static_cast<real>(args.get_double("lambda", 0.1));
-  options.iterations = static_cast<int>(args.get_long("iters", 10));
-  options.weighted_regularization = args.has_flag("wr");
-  const auto result =
-      out_of_core_als(*shards + "/r", *shards + "/rt", options);
-  // Persist through the Recommender's model format: wrap the factors.
-  std::ofstream out(*model_path, std::ios::binary);
-  if (!out.good()) {
-    std::cerr << "cannot write " << *model_path << "\n";
-    return 1;
-  }
-  // Reuse Recommender serialization by constructing through load-compatible
-  // bytes: simplest is an in-memory Recommender round-trip via npy-free
-  // save. Recommender lacks a factor-injection API by design; write the v1
-  // format directly (magic + two matrices).
-  const char magic[8] = {'A', 'L', 'S', 'M', 'D', 'L', '0', '1'};
-  out.write(magic, sizeof(magic));
-  auto write_matrix = [&](const Matrix& m) {
-    const std::int64_t rows = m.rows(), cols = m.cols();
-    out.write(reinterpret_cast<const char*>(&rows), sizeof rows);
-    out.write(reinterpret_cast<const char*>(&cols), sizeof cols);
-    out.write(reinterpret_cast<const char*>(m.data()),
-              static_cast<std::streamsize>(m.size() * sizeof(real)));
-  };
-  write_matrix(result.x);
-  write_matrix(result.y);
-  std::cout << "out-of-core training done (peak resident shard "
-            << result.peak_resident_nnz << " nnz); model: " << *model_path
-            << "\n";
-  return 0;
-}
-
 int cmd_rank(const CliArgs& args) {
   const auto model_path = args.get("model");
   const auto train_path = args.get("train");
@@ -776,8 +712,8 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   if (args.positional().empty()) {
     std::cerr << "usage: alsmf_cli <train|train-multi|predict|recommend|"
-                 "evaluate|tune|shard|train-ooc|rank|serve|pipeline|devices|"
-                 "certify-kernels> [options]\n";
+                 "evaluate|tune|rank|serve|pipeline|devices|certify-kernels> "
+                 "[options]\n";
     return 2;
   }
   const std::string& cmd = args.positional().front();
@@ -788,8 +724,6 @@ int main(int argc, char** argv) {
     if (cmd == "recommend") return cmd_recommend(args);
     if (cmd == "evaluate") return cmd_evaluate(args);
     if (cmd == "tune") return cmd_tune(args);
-    if (cmd == "shard") return cmd_shard(args);
-    if (cmd == "train-ooc") return cmd_train_ooc(args);
     if (cmd == "rank") return cmd_rank(args);
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "pipeline") return cmd_pipeline(args);

@@ -1,11 +1,10 @@
 #include "als/implicit.hpp"
 
-#include <cmath>
 #include <vector>
 
+#include "als/reference.hpp"
 #include "als/row_solve.hpp"
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/vecops.hpp"
@@ -29,30 +28,11 @@ void implicit_half_update(const Csr& r, const Matrix& src, Matrix& dst,
       0, static_cast<std::size_t>(r.rows()),
       [&](std::size_t b, std::size_t e, unsigned) {
         std::vector<real> a(kk);
-        std::vector<real> rhs(static_cast<std::size_t>(k));
         for (std::size_t u = b; u < e; ++u) {
-          auto cols = r.row_cols(static_cast<index_t>(u));
-          auto vals = r.row_values(static_cast<index_t>(u));
-          std::copy(gram.begin(), gram.end(), a.begin());
-          std::fill(rhs.begin(), rhs.end(), real{0});
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            const real conf = real{1} + options.alpha * vals[p];
-            auto yrow = src.row(cols[p]);
-            // A += (c-1)·y yᵀ ; rhs += c·y   (p_ui = 1)
-            for (int i = 0; i < k; ++i) {
-              const real ci = (conf - real{1}) * yrow[static_cast<std::size_t>(i)];
-              real* arow = a.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(k);
-              for (int j = 0; j < k; ++j) {
-                arow[j] += ci * yrow[static_cast<std::size_t>(j)];
-              }
-              rhs[static_cast<std::size_t>(i)] += conf * yrow[static_cast<std::size_t>(i)];
-            }
-          }
-          if (!cholesky_solve(a.data(), k, rhs.data())) {
-            std::fill(rhs.begin(), rhs.end(), real{0});
-          }
-          auto drow = dst.row(static_cast<index_t>(u));
-          std::copy(rhs.begin(), rhs.end(), drow.begin());
+          const auto row = static_cast<index_t>(u);
+          implicit_solve_row(gram.data(), r.row_cols(row), r.row_values(row),
+                             src, options.alpha, k, a.data(),
+                             dst.row(row).data());
         }
       });
 }
@@ -67,18 +47,35 @@ void validate(const ImplicitOptions& options) {
   }
 }
 
+void implicit_solve_row(const real* gram, std::span<const index_t> cols,
+                        std::span<const real> vals, const Matrix& src,
+                        real alpha, int k, real* a, real* x) {
+  const auto kk = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
+  std::copy(gram, gram + kk, a);
+  std::fill(x, x + k, real{0});
+  for (std::size_t p = 0; p < cols.size(); ++p) {
+    const real conf = real{1} + alpha * vals[p];
+    auto yrow = src.row(cols[p]);
+    // A += (c-1)·y yᵀ ; x += c·y   (p_ui = 1)
+    for (int i = 0; i < k; ++i) {
+      const real ci = (conf - real{1}) * yrow[static_cast<std::size_t>(i)];
+      real* arow = a + static_cast<std::size_t>(i) * static_cast<std::size_t>(k);
+      for (int j = 0; j < k; ++j) {
+        arow[j] += ci * yrow[static_cast<std::size_t>(j)];
+      }
+      x[i] += conf * yrow[static_cast<std::size_t>(i)];
+    }
+  }
+  if (!cholesky_solve(a, k, x)) std::fill(x, x + k, real{0});
+}
+
 ImplicitResult implicit_als(const Csr& r, const ImplicitOptions& options,
                             ThreadPool* pool) {
   validate(options);
   if (!pool) pool = &ThreadPool::global();
 
   ImplicitResult result;
-  Rng rng(options.seed);
-  const real scale =
-      static_cast<real>(1.0 / std::sqrt(static_cast<double>(options.k)));
-  result.x = Matrix(r.rows(), options.k, real{0});
-  result.y = Matrix(r.cols(), options.k);
-  result.y.fill_uniform(rng, -0.5f * scale, 0.5f * scale);
+  init_factors(r.rows(), r.cols(), options, result.x, result.y);
 
   const Csr rt = transpose(r);
   for (int it = 0; it < options.iterations; ++it) {

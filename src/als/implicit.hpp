@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "als/options.hpp"
 #include "common/thread_pool.hpp"
@@ -42,6 +43,16 @@ struct ImplicitResult {
 /// rows via the pool.
 ImplicitResult implicit_als(const Csr& r, const ImplicitOptions& options,
                             ThreadPool* pool = nullptr);
+
+/// Solves one row of the implicit half-update into x (k values):
+///     (G + Σ_p (c_p − 1)·y_p y_pᵀ) x = Σ_p c_p·y_p ,  c_p = 1 + alpha·v_p ,
+/// where `gram` is G = srcᵀsrc + λI (k×k, row-major) and y_p are the rows
+/// `cols` of `src` with values `vals`. `a` is k×k scratch. A system that
+/// fails to factor yields x = 0. Shared by implicit_als and
+/// DeviceImplicitAls, so both produce the same bits.
+void implicit_solve_row(const real* gram, std::span<const index_t> cols,
+                        std::span<const real> vals, const Matrix& src,
+                        real alpha, int k, real* a, real* x);
 
 /// The implicit-ALS objective: Σ_ui c_ui (p_ui - x_uᵀy_i)² + λ(|X|²+|Y|²),
 /// with the sum running over ALL user-item cells (unobserved cells have

@@ -3,8 +3,7 @@
 #include <cmath>
 #include <vector>
 
-#include "common/error.hpp"
-#include "common/rng.hpp"
+#include "als/reference.hpp"
 #include "linalg/cholesky.hpp"
 #include "sparse/convert.hpp"
 
@@ -21,15 +20,8 @@ DeviceImplicitAls::DeviceImplicitAls(const Csr& interactions,
       rt_(transpose(interactions)),
       options_(options),
       device_(device) {
-  ALSMF_CHECK(options.k > 0);
-  ALSMF_CHECK(options.lambda > 0.0f);
-  ALSMF_CHECK(options.alpha >= 0.0f);
-  Rng rng(options_.seed);
-  const real scale =
-      static_cast<real>(1.0 / std::sqrt(static_cast<double>(options_.k)));
-  x_ = Matrix(interactions.rows(), options_.k, real{0});
-  y_ = Matrix(interactions.cols(), options_.k);
-  y_.fill_uniform(rng, -0.5f * scale, 0.5f * scale);
+  alsmf::validate(options_);
+  init_factors(interactions.rows(), interactions.cols(), options_, x_, y_);
 }
 
 void DeviceImplicitAls::half_update(const Csr& r, const Matrix& src,
@@ -93,38 +85,23 @@ void DeviceImplicitAls::half_update(const Csr& r, const Matrix& src,
 
       if (!ctx.functional()) continue;
 
-      // --- functional: identical arithmetic to implicit_als ---
+      // --- functional: the row routine implicit_als runs ---
       ctx.section("S1");
       ctx.set_lane(0);
       g_gram.mark_read(0, gram.size());
-      std::copy(gram.begin(), gram.end(), a.begin());
-      std::fill(rhs.begin(), rhs.end(), real{0});
       auto cols = r.row_cols(u);
       auto vals = r.row_values(u);
       const auto row_begin =
           static_cast<std::size_t>(r.row_ptr()[static_cast<std::size_t>(u)]);
       g_cols.mark_read(row_begin, cols.size());
       g_vals.mark_read(row_begin, vals.size());
-      real* rhs_raw = rhs.data();
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        const real conf = real{1} + alpha * vals[p];
-        g_src.mark_read(static_cast<std::size_t>(cols[p]) *
+      for (const index_t c : cols) {
+        g_src.mark_read(static_cast<std::size_t>(c) *
                             static_cast<std::size_t>(k),
                         static_cast<std::size_t>(k));
-        auto yrow = src.row(cols[p]);
-        for (int i = 0; i < k; ++i) {
-          const real ci = (conf - real{1}) * yrow[static_cast<std::size_t>(i)];
-          real* arow = a.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(k);
-          for (int j = 0; j < k; ++j) {
-            arow[j] += ci * yrow[static_cast<std::size_t>(j)];
-          }
-          rhs_raw[static_cast<std::size_t>(i)] +=
-              conf * yrow[static_cast<std::size_t>(i)];
-        }
       }
-      if (!cholesky_solve(a.data(), k, rhs.data())) {
-        std::fill(rhs.begin(), rhs.end(), real{0});
-      }
+      implicit_solve_row(gram.data(), cols, vals, src, alpha, k, a.data(),
+                         rhs.data());
       ctx.section("S3");
       auto out = dst.row(u);
       std::copy(rhs.begin(), rhs.begin() + k, out.begin());

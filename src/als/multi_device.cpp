@@ -177,9 +177,10 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
   Matrix local(shard.matrix.rows(), k);
   if (options_.functional && row_solver_->uses_warm_start()) {
     // Iterative strategies warm-start each row from its previous factor
-    // value; seed the shard-local output with the rows it will overwrite.
+    // value; seed the shard-local output with those rows as they stood
+    // before this half-update.
     for (index_t u = 0; u < local.rows(); ++u) {
-      auto from = dst.row(shard.first_row + u);
+      auto from = warm_start_.row(shard.first_row + u);
       auto to = local.row(u);
       std::copy(from.begin(), from.end(), to.begin());
     }
@@ -466,6 +467,11 @@ void MultiDeviceAls::observe_recovery(double mttr_seconds) {
 
 void MultiDeviceAls::half_update(Axis axis, const Matrix& src, Matrix& dst,
                                  const char* name) {
+  // Speculation and link failover re-solve rows whose first solve has
+  // already landed in dst; they must start from the previous factor, the
+  // one a helper or survivor holds from the last all-gather. Exact solvers
+  // read no previous value, so they copy nothing.
+  if (options_.functional && row_solver_->uses_warm_start()) warm_start_ = dst;
   const auto& shards = axis == Axis::kRows ? x_shards_ : y_shards_;
   modeled_seconds_ += run_elastic(shards, src, dst, name, axis);
   modeled_seconds_ += all_gather(axis, src, dst, name);

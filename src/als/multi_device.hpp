@@ -25,7 +25,10 @@
 //
 // Zero-fault runs produce bitwise-identical factors to the synchronous
 // trainer (row solves are partition-independent), and so do recovered runs
-// — recovery recomputes exactly the lost rows from identical inputs.
+// under every row solver: a recovery or speculative launch re-solves its
+// rows from the same inputs as their first solve, the opposing factor and,
+// for warm-start solvers, the updated factor as it stood before the
+// half-update.
 #pragma once
 
 #include <memory>
@@ -238,6 +241,10 @@ class MultiDeviceAls {
   devsim::FaultModel fault_model_;
   std::vector<Shard> x_shards_, y_shards_;
   Matrix x_, y_;
+  /// The updated factor as it stood before the running half-update: every
+  /// launch of that half-update warm-starts from it (warm-start row solvers
+  /// only; empty otherwise).
+  Matrix warm_start_;
   int iterations_done_ = 0;
   double modeled_seconds_ = 0;
   double comm_seconds_ = 0;

@@ -10,14 +10,15 @@
 
 namespace alsmf {
 
-void init_factors(index_t users, index_t items, const AlsOptions& options,
-                  Matrix& x, Matrix& y) {
+void init_factors(index_t users, index_t items,
+                  const FactorOptionsBase& options, Matrix& x, Matrix& y) {
   Rng rng(options.seed);
   init_factors(users, items, options, x, y, rng);
 }
 
-void init_factors(index_t users, index_t items, const AlsOptions& options,
-                  Matrix& x, Matrix& y, Rng& rng) {
+void init_factors(index_t users, index_t items,
+                  const FactorOptionsBase& options, Matrix& x, Matrix& y,
+                  Rng& rng) {
   x = Matrix(users, options.k, real{0});
   y = Matrix(items, options.k);
   const real scale =

@@ -22,15 +22,17 @@ struct ReferenceResult {
 ReferenceResult reference_als(const Csr& train, const AlsOptions& options);
 
 /// Initializes factor matrices exactly as reference_als / AlsSolver do
-/// (shared so device variants start from identical state).
-void init_factors(index_t users, index_t items, const AlsOptions& options,
-                  Matrix& x, Matrix& y);
+/// (shared so device variants and the implicit trainers start from
+/// identical state).
+void init_factors(index_t users, index_t items,
+                  const FactorOptionsBase& options, Matrix& x, Matrix& y);
 
 /// Same, but drawing from a caller-owned generator (which must be seeded
 /// with options.seed for the canonical initialization). Lets the solver
 /// checkpoint its RNG stream position.
-void init_factors(index_t users, index_t items, const AlsOptions& options,
-                  Matrix& x, Matrix& y, Rng& rng);
+void init_factors(index_t users, index_t items,
+                  const FactorOptionsBase& options, Matrix& x, Matrix& y,
+                  Rng& rng);
 
 /// One half-update: recomputes every row of `dst` from `src` over the rows
 /// of `r` (r rows must correspond to dst rows). Sequential.

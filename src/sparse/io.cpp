@@ -1,7 +1,6 @@
 #include "sparse/io.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -27,40 +26,6 @@ void split_fields(const std::string& line, const std::string& seps,
     if (j > i) out.push_back(line.substr(i, j - i));
     i = j;
   }
-}
-
-constexpr char kMagic[8] = {'A', 'L', 'S', 'C', 'S', 'R', '0', '1'};
-
-template <class T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <class T>
-void read_pod(std::istream& in, T& v) {
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  ALSMF_CHECK_MSG(in.good(), "truncated binary CSR stream");
-}
-
-template <class T>
-void write_array(std::ostream& out, const aligned_vector<T>& v) {
-  write_pod(out, static_cast<std::uint64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <class T>
-aligned_vector<T> read_array(std::istream& in, std::uint64_t expected) {
-  std::uint64_t n = 0;
-  read_pod(in, n);
-  // Validate the stored length before allocating: a corrupted length field
-  // must throw, not attempt a multi-terabyte allocation.
-  ALSMF_CHECK_MSG(n == expected, "binary CSR array length mismatch");
-  aligned_vector<T> v(static_cast<std::size_t>(n));
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  ALSMF_CHECK_MSG(in.good(), "truncated binary CSR stream");
-  return v;
 }
 
 }  // namespace
@@ -184,53 +149,6 @@ void write_matrix_market_file(const std::string& path, const Coo& coo) {
   std::ofstream out(path);
   ALSMF_CHECK_MSG(out.good(), "cannot open for write: " + path);
   write_matrix_market(out, coo);
-}
-
-void write_csr_binary(std::ostream& out, const Csr& csr) {
-  out.write(kMagic, sizeof(kMagic));
-  write_pod(out, static_cast<std::int64_t>(csr.rows()));
-  write_pod(out, static_cast<std::int64_t>(csr.cols()));
-  write_array(out, csr.row_ptr());
-  write_array(out, csr.col_idx());
-  write_array(out, csr.values());
-}
-
-Csr read_csr_binary(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  ALSMF_CHECK_MSG(in.good() && std::memcmp(magic, kMagic, 8) == 0,
-                  "bad CSR binary magic");
-  std::int64_t rows = 0, cols = 0;
-  read_pod(in, rows);
-  read_pod(in, cols);
-  // Sanity-bound the header before sizing any allocation from it.
-  constexpr std::int64_t kMaxDim = std::int64_t{1} << 40;
-  ALSMF_CHECK_MSG(rows >= 0 && cols >= 0 && rows < kMaxDim && cols < kMaxDim,
-                  "implausible binary CSR dimensions");
-  auto row_ptr = read_array<nnz_t>(in, static_cast<std::uint64_t>(rows) + 1);
-  const nnz_t nnz = row_ptr.empty() ? 0 : row_ptr.back();
-  // Dense bound checked in floating point to avoid int64 overflow.
-  const long double dense_cells =
-      static_cast<long double>(rows) * static_cast<long double>(std::max<std::int64_t>(cols, 1));
-  ALSMF_CHECK_MSG(nnz >= 0 && (rows == 0 ||
-                               static_cast<long double>(nnz) <= dense_cells),
-                  "implausible binary CSR nonzero count");
-  auto col_idx = read_array<index_t>(in, static_cast<std::uint64_t>(nnz));
-  auto values = read_array<real>(in, static_cast<std::uint64_t>(nnz));
-  return Csr(rows, cols, std::move(row_ptr), std::move(col_idx),
-             std::move(values));
-}
-
-void write_csr_binary_file(const std::string& path, const Csr& csr) {
-  std::ofstream out(path, std::ios::binary);
-  ALSMF_CHECK_MSG(out.good(), "cannot open for write: " + path);
-  write_csr_binary(out, csr);
-}
-
-Csr read_csr_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  ALSMF_CHECK_MSG(in.good(), "cannot open for read: " + path);
-  return read_csr_binary(in);
 }
 
 }  // namespace alsmf

@@ -1,12 +1,11 @@
-// Dataset I/O: the paper's `<userID, itemID, rating>` text format plus a
-// compact binary format for preprocessed matrices.
+// Dataset I/O: the paper's `<userID, itemID, rating>` text format and
+// Matrix Market coordinate files.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
 #include "sparse/coo.hpp"
-#include "sparse/csr.hpp"
 
 namespace alsmf {
 
@@ -42,12 +41,5 @@ Coo read_matrix_market(std::istream& in);
 Coo read_matrix_market_file(const std::string& path);
 void write_matrix_market(std::ostream& out, const Coo& coo);
 void write_matrix_market_file(const std::string& path, const Coo& coo);
-
-/// Binary snapshot of a CSR matrix (little-endian, versioned header).
-void write_csr_binary(std::ostream& out, const Csr& csr);
-Csr read_csr_binary(std::istream& in);
-
-void write_csr_binary_file(const std::string& path, const Csr& csr);
-Csr read_csr_binary_file(const std::string& path);
 
 }  // namespace alsmf

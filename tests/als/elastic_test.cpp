@@ -274,6 +274,59 @@ TEST(ElasticMultiDevice, LinkExhaustionFailsTheDeviceOver) {
   EXPECT_EQ(solver.y(), ref.y);
 }
 
+TEST(ElasticMultiDevice, RecoveryMatchesSingleDeviceForEveryRowSolver) {
+  // CG and subspace warm-start each row from its previous factor value, so
+  // a launch that re-solves rows after their first solve already landed in
+  // dst (speculation, link failover) must still start from the factor as
+  // it stood before the half-update.
+  struct Case {
+    const char* name;
+    std::size_t devices;
+    FaultPlan plan;
+    ElasticOptions elastic;
+  };
+  std::vector<Case> cases(4);
+  cases[0] = {"no fault", 4, {}, {}};
+  cases[1] = {"speculation", 3, {}, {}};
+  cases[1].plan.exact[static_cast<int>(FaultSite::kStraggler)] = {
+      fault_key(0, 0), fault_key(1, 3)};
+  cases[1].elastic.faults.straggler_slowdown_min = 8.0;
+  cases[2] = {"device loss", 4, {}, {}};
+  cases[2].plan.exact[static_cast<int>(FaultSite::kDeviceFailure)] = {
+      fault_key(1, 2)};
+  cases[3] = {"link exhaustion", 2, {}, {}};
+  cases[3].plan.exact[static_cast<int>(FaultSite::kLinkTransfer)] = {
+      fault_key(1, 0), fault_key(1, 1), fault_key(1, 2), fault_key(1, 3)};
+  for (Case& c : cases) c.plan.seed = fault_seed();
+
+  const Csr train = testing::random_csr(70, 45, 0.15, 212);
+  for (const RowSolverKind kind : {RowSolverKind::kCholesky,
+                                   RowSolverKind::kCg,
+                                   RowSolverKind::kSubspace}) {
+    AlsOptions o = opts();
+    o.row_solver = kind;
+    devsim::Device device(devsim::k20c());
+    AlsSolver single(train, o, AlsVariant::batch_local_reg(), device);
+    for (int i = 0; i < o.iterations; ++i) single.run_iteration();
+
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[i];
+      SCOPED_TRACE(std::string(to_string(kind)) + ", " + c.name);
+      ScopedFaultInjector scoped(c.plan);
+      MultiDeviceAls multi(train, o, AlsVariant::batch_local_reg(),
+                           gpus(c.devices), c.elastic);
+      multi.run();
+      // Each fault case exercises exactly its recovery path.
+      const auto& report = multi.elastic_report();
+      EXPECT_EQ(report.speculative_reexecs > 0, i == 1);
+      EXPECT_EQ(report.launch_failures > 0, i == 2);
+      EXPECT_EQ(report.link_failovers > 0, i == 3);
+      EXPECT_EQ(multi.x(), single.x());
+      EXPECT_EQ(multi.y(), single.y());
+    }
+  }
+}
+
 TEST(ElasticMultiDevice, AllDevicesLostThrows) {
   const Csr train = testing::random_csr(40, 30, 0.2, 207);
   FaultPlan plan;

@@ -1,9 +1,11 @@
 // Golden-hash pinning of trained factors: the CRC-32 of X‖Y after two
 // AlsSolver iterations on a seeded NTFX replica, per kernel path, plus the
-// factors of 20 fold-ins against the trained Y. Every path assembles its
-// normal equations in one fixed summation order (row_solve.hpp), so these
-// bits do not depend on the staging tile, the work-group mapping or how the
-// compiler vectorizes the assembly. A drift means the arithmetic changed.
+// factors of 20 fold-ins against the trained Y, and of two implicit-ALS
+// iterations on the host and on the device (both through
+// implicit_solve_row). Every explicit path assembles its normal equations
+// in one fixed summation order (row_solve.hpp), so these bits do not
+// depend on the staging tile, the work-group mapping or how the compiler
+// vectorizes the assembly. A drift means the arithmetic changed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "als/implicit.hpp"
+#include "als/implicit_device.hpp"
 #include "als/solver.hpp"
 #include "data/datasets.hpp"
 #include "devsim/device.hpp"
@@ -38,6 +42,12 @@ const std::vector<std::pair<std::string, std::uint32_t>> kGolden = {
     {"k7/cpu/batch", 0x485948ecu},
     {"k7/mic/flat", 0x485948ecu},
     {"k7/fold_in_user x20", 0xd06273a7u},
+    {"k10/implicit_als", 0xa525978cu},
+    {"k10/gpu/implicit", 0xa525978cu},
+    {"k10/cpu/implicit", 0xa525978cu},
+    {"k7/implicit_als", 0x5975b154u},
+    {"k7/gpu/implicit", 0x5975b154u},
+    {"k7/cpu/implicit", 0x5975b154u},
 };
 
 constexpr char kRegen[] = "test_als --gtest_filter='FactorGolden.*'";
@@ -141,6 +151,29 @@ TEST(FactorGolden, FoldInsMatchPinnedHashes) {
     ASSERT_EQ(folded, 20);
     const std::string name = k_name(k) + "/fold_in_user x20";
     testing::expect_golden_crc(name, payload, golden(name), kRegen);
+  }
+}
+
+TEST(FactorGolden, ImplicitFactorsMatchPinnedHashes) {
+  for (const int k : {10, 7}) {
+    ImplicitOptions o;
+    o.k = k;
+    o.lambda = 0.1f;
+    o.seed = 5;
+    o.iterations = 2;
+    const auto host = implicit_als(replica(), o);
+    const std::string host_name = k_name(k) + "/implicit_als";
+    testing::expect_golden_crc(host_name, bytes_of(host.x) + bytes_of(host.y),
+                               golden(host_name), kRegen);
+    for (const char* profile : {"gpu", "cpu"}) {
+      devsim::Device device(devsim::profile_by_name(profile));
+      DeviceImplicitAls solver(replica(), o, device);
+      solver.run();
+      const std::string name = k_name(k) + "/" + profile + "/implicit";
+      testing::expect_golden_crc(name,
+                                 bytes_of(solver.x()) + bytes_of(solver.y()),
+                                 golden(name), kRegen);
+    }
   }
 }
 

@@ -1,58 +1,16 @@
 // Failure-injection robustness: corrupted inputs must throw alsmf::Error
 // (or parse as valid data), never crash or silently produce wrong
-// structures. A deterministic mutation fuzz over the binary and text
-// deserializers.
+// structures. A deterministic mutation fuzz over the ratings-text and
+// Matrix Market parsers.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "common/rng.hpp"
 #include "sparse/io.hpp"
-#include "testing/util.hpp"
 
 namespace alsmf {
 namespace {
-
-std::string valid_csr_bytes() {
-  const Csr csr = testing::random_csr(20, 15, 0.25, 250);
-  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
-  write_csr_binary(s, csr);
-  return s.str();
-}
-
-TEST(FuzzRobustness, BinaryCsrByteFlipsThrowOrValidate) {
-  const std::string original = valid_csr_bytes();
-  Rng rng(251);
-  int threw = 0, parsed = 0;
-  for (int round = 0; round < 300; ++round) {
-    std::string mutated = original;
-    const std::size_t at = rng.bounded(mutated.size());
-    mutated[at] = static_cast<char>(rng.bounded(256));
-    std::stringstream in(mutated, std::ios::in | std::ios::binary);
-    try {
-      const Csr csr = read_csr_binary(in);
-      // If it parsed, the invariants must hold (the constructor checks).
-      EXPECT_TRUE(csr.check_invariants());
-      ++parsed;
-    } catch (const Error&) {
-      ++threw;
-    }
-    // Anything else (segfault, std::bad_alloc from absurd sizes is allowed
-    // to surface as Error only because sizes are validated first).
-  }
-  EXPECT_EQ(threw + parsed, 300);
-  EXPECT_GT(threw, 0);  // mutations do get caught
-}
-
-TEST(FuzzRobustness, BinaryCsrTruncationsAlwaysThrow) {
-  const std::string original = valid_csr_bytes();
-  for (std::size_t len = 0; len < original.size();
-       len += std::max<std::size_t>(1, original.size() / 40)) {
-    std::stringstream in(original.substr(0, len),
-                         std::ios::in | std::ios::binary);
-    EXPECT_THROW(read_csr_binary(in), Error) << "length " << len;
-  }
-}
 
 TEST(FuzzRobustness, TextParserSurvivesGarbageLines) {
   Rng rng(252);

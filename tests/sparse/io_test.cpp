@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "sparse/convert.hpp"
 #include "testing/util.hpp"
 
 namespace alsmf {
@@ -72,39 +71,7 @@ TEST(IoText, WriteReadRoundTrip) {
   }
 }
 
-TEST(IoBinary, RoundTripExact) {
-  const Csr csr = testing::random_csr(30, 20, 0.15, 9);
-  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
-  write_csr_binary(s, csr);
-  const Csr back = read_csr_binary(s);
-  EXPECT_EQ(csr, back);
-}
-
-TEST(IoBinary, RejectsBadMagic) {
-  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
-  s << "NOTACSR1 garbage";
-  EXPECT_THROW(read_csr_binary(s), Error);
-}
-
-TEST(IoBinary, RejectsTruncatedStream) {
-  const Csr csr = testing::random_csr(10, 10, 0.3, 2);
-  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
-  write_csr_binary(s, csr);
-  std::string data = s.str();
-  data.resize(data.size() / 2);
-  std::stringstream cut(data, std::ios::in | std::ios::binary);
-  EXPECT_THROW(read_csr_binary(cut), Error);
-}
-
-TEST(IoBinary, FileRoundTrip) {
-  const Csr csr = testing::random_csr(8, 8, 0.4, 3);
-  const std::string path = ::testing::TempDir() + "/alsmf_io_test.bin";
-  write_csr_binary_file(path, csr);
-  EXPECT_EQ(read_csr_binary_file(path), csr);
-}
-
-TEST(IoBinary, MissingFileThrows) {
-  EXPECT_THROW(read_csr_binary_file("/nonexistent/alsmf.bin"), Error);
+TEST(IoText, MissingFileThrows) {
   EXPECT_THROW(read_ratings_file("/nonexistent/alsmf.txt"), Error);
 }
 
