@@ -161,7 +161,6 @@ void run_serve_closed_loop(obs::RegressReport& report, const Csr& train,
 
   serve::ServiceOptions serve_options;
   serve_options.max_batch = 32;
-  serve_options.max_wait_us = 100;
   serve_options.cache_capacity = 256;
   serve::RecommendService service(
       serve::snapshot_from_recommender(rec, options.lambda), serve_options);
@@ -240,7 +239,6 @@ void run_serve_ivf(obs::RegressReport& report, const Csr& train, bool smoke,
   // attached (cache off so the scoring path is what is measured).
   serve::ServiceOptions serve_options;
   serve_options.max_batch = 32;
-  serve_options.max_wait_us = 100;
   serve_options.cache_capacity = 0;
   serve_options.nprobe = ivf_options.nprobe;
   serve::RecommendService service(std::move(snap), serve_options);

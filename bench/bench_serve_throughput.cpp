@@ -3,7 +3,7 @@
 // Zipf-distributed user stream (hot repeat users, cold fold-in users).
 //
 //   bench_serve_throughput [--users N] [--items N] [--k K] [--requests N]
-//     [--clients N] [--batch N] [--max-wait-us U] [--cache N]
+//     [--clients N] [--batch N] [--cache N]
 //     [--foldin-pct P] [--zipf A] [--topn N] [--seed S] [--smoke]
 //     [--index exhaustive|ivf] [--nprobe N] [--clusters N] [--json-out F]
 //     [--overload] [--overload-factor F] [--max-queue N] [--deadline-us U]
@@ -61,7 +61,6 @@ struct Config {
   std::size_t requests = 60000;
   int clients = 8;
   std::size_t max_batch = 64;
-  long max_wait_us = 50;
   std::size_t cache = 4096;
   int foldin_pct = 5;
   double zipf = 1.05;
@@ -232,7 +231,6 @@ RunResult run_batched(const Config& config,
                       std::shared_ptr<const index::IvfIndex> ann = nullptr) {
   serve::ServiceOptions options;
   options.max_batch = config.max_batch;
-  options.max_wait_us = config.max_wait_us;
   options.cache_capacity = config.cache;
   options.nprobe = config.nprobe;
   auto snap = std::make_shared<ModelSnapshot>(*model);
@@ -263,7 +261,6 @@ void run_overload(const Config& config, const std::vector<Request>& schedule,
                   long deadline_us) {
   serve::ServiceOptions options;
   options.max_batch = config.max_batch;
-  options.max_wait_us = config.max_wait_us;
   // No result cache: the overload phase measures the queue path itself —
   // with the cache on, hot Zipf users bypass the queue and mask shedding.
   options.cache_capacity = 0;
@@ -410,7 +407,6 @@ int main(int argc, char** argv) {
   config.clients = static_cast<int>(args.get_long("clients", config.clients));
   config.max_batch =
       static_cast<std::size_t>(args.get_long("batch", static_cast<long>(config.max_batch)));
-  config.max_wait_us = args.get_long("max-wait-us", config.max_wait_us);
   config.cache =
       static_cast<std::size_t>(args.get_long("cache", static_cast<long>(config.cache)));
   config.foldin_pct = static_cast<int>(args.get_long("foldin-pct", config.foldin_pct));
@@ -433,8 +429,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(config.users), static_cast<long long>(config.items),
       config.k, config.requests, config.foldin_pct, config.zipf,
       config.clients);
-  std::printf("# batched: max_batch=%zu max_wait=%ldus cache=%zu\n",
-              config.max_batch, config.max_wait_us, config.cache);
+  std::printf("# batched: max_batch=%zu cache=%zu\n", config.max_batch,
+              config.cache);
 
   const auto schedule = make_schedule(config);
   const auto model = make_model(config);

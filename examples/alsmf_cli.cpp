@@ -31,10 +31,9 @@
 //   alsmf_cli evaluate  --model m.bin --test t.txt
 //   alsmf_cli tune      --ratings r.txt [--iters 8]
 //   alsmf_cli rank      --model m.bin --train r.txt --test t.txt [--n 10]
-//   alsmf_cli serve     --model m.bin [--batch 64] [--max-wait-us 200]
-//                       [--cache 4096] [--lambda 0.1] [--max-queue 0]
-//                       [--deadline-us 0] [--index exhaustive|ivf]
-//                       [--nprobe 16] [--clusters 0]
+//   alsmf_cli serve     --model m.bin [--batch 64] [--cache 4096]
+//                       [--lambda 0.1] [--max-queue 0] [--deadline-us 0]
+//                       [--index exhaustive|ivf] [--nprobe 16] [--clusters 0]
 //                       (--index=ivf scores top-N through an IVF index built
 //                       over the item factors; `swap` rebuilds the index for
 //                       the incoming model so the pair stays matched)
@@ -470,7 +469,6 @@ int cmd_serve(const CliArgs& args) {
   serve::ServiceOptions options;
   options.max_batch =
       static_cast<std::size_t>(args.get_long("batch", 64));
-  options.max_wait_us = args.get_long("max-wait-us", 200);
   options.cache_capacity =
       static_cast<std::size_t>(args.get_long("cache", 4096));
   options.max_queue = static_cast<std::size_t>(args.get_long("max-queue", 0));

@@ -1,6 +1,7 @@
 #include "serve/batcher.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/error.hpp"
 
@@ -12,7 +13,6 @@ MicroBatcher::MicroBatcher(BatcherOptions options, Executor executor,
       executor_(std::move(executor)),
       on_shed_(std::move(on_shed)) {
   ALSMF_CHECK(options_.max_batch >= 1);
-  ALSMF_CHECK(options_.max_wait.count() >= 0);
   ALSMF_CHECK_MSG(executor_ != nullptr, "MicroBatcher needs an executor");
   drain_ = std::jthread([this] { drain_loop(); });
 }
@@ -68,18 +68,15 @@ void MicroBatcher::drain_loop() {
   while (true) {
     cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) return;  // only reachable when stopping
-    // Let the batch fill, but never hold the oldest request past max_wait.
-    const auto deadline = queue_.front().enqueue_time + options_.max_wait;
-    cv_.wait_until(lk, deadline, [&] {
-      return stop_ || queue_.size() >= options_.max_batch;
-    });
-    // Drop requests whose deadline already passed: the client has given up
-    // (or will before the answer lands), so a batch slot is better spent on
-    // a request that can still be served in time.
+    // Work-conserving: take what is queued now, up to max_batch, and never
+    // wait for more; requests that arrive while this batch executes form
+    // the next one. Drop requests whose deadline already passed: the client
+    // has given up (or will before the answer lands), so a batch slot is
+    // better spent on a request that can still be served in time.
     const auto now = std::chrono::steady_clock::now();
     std::vector<ServeRequest> expired;
     std::vector<ServeRequest> batch;
-    batch.reserve(options_.max_batch);
+    batch.reserve(std::min(queue_.size(), options_.max_batch));
     while (!queue_.empty() && batch.size() < options_.max_batch) {
       if (queue_.front().deadline < now) {
         expired.push_back(std::move(queue_.front()));

@@ -1,14 +1,14 @@
 // Micro-batching request queue.
 //
 // Incoming requests accumulate in a queue; a dedicated drain thread hands
-// them to the executor in batches of up to `max_batch`, waiting at most
-// `max_wait` after the oldest queued request arrived. Small max_wait favors
-// latency, large max_wait favors batch size (and thus throughput): a cold
-// user's fold-in becomes one row of a batched Cholesky solve instead of a
-// lone k×k solve, exactly the amortization the training kernels exploit.
+// them to the executor in FIFO batches of up to `max_batch`. The drain is
+// work-conserving: whenever the executor is free it takes what is queued
+// and never waits for more, so a lone request is not held for company and
+// requests that arrive while a batch executes form the next batch. Like the
+// paper's thread batching, it groups the rows that exist: a cold user's
+// fold-in becomes one row of a batched Cholesky solve when others queue too.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -23,7 +23,6 @@ namespace alsmf::serve {
 
 struct BatcherOptions {
   std::size_t max_batch = 64;
-  std::chrono::microseconds max_wait{200};
   /// Queued requests beyond which submits are shed with
   /// ServeStatus::kRejectedQueueFull. 0 = unbounded.
   std::size_t max_queue = 0;

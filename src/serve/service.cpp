@@ -83,7 +83,6 @@ RecommendService::RecommendService(std::shared_ptr<ModelSnapshot> initial,
   if (initial) store_.publish(std::move(initial));
   BatcherOptions batcher_options;
   batcher_options.max_batch = options_.max_batch;
-  batcher_options.max_wait = std::chrono::microseconds(options_.max_wait_us);
   batcher_options.max_queue = options_.max_queue;
   batcher_ = std::make_unique<MicroBatcher>(
       batcher_options,
@@ -208,10 +207,10 @@ void RecommendService::execute_batch_degraded(
   const auto drain_time = clock::now();
   const Timer exec;
   const auto fallback = fallback_.load(std::memory_order_acquire);
-  metrics_.record_batch(batch.size(), batcher_ ? batcher_->queue_depth() : 0,
-                        exec.seconds() * 1e6);
-  for (auto& request : batch) {
-    ServeResult result;
+  std::vector<ServeResult> results(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ServeRequest& request = batch[i];
+    ServeResult& result = results[i];
     if (request.kind == RequestKind::kTopN && fallback && !fallback->empty()) {
       result.status = ServeStatus::kDegraded;
       const auto n = std::min<std::size_t>(
@@ -222,11 +221,15 @@ void RecommendService::execute_batch_degraded(
     } else {
       result.status = ServeStatus::kNoModel;
     }
-    metrics_.record_status(result.status);
-    metrics_.record_done(request.kind,
-                         micros_between(request.enqueue_time, drain_time),
-                         micros_between(request.enqueue_time, clock::now()));
-    request.promise.set_value(std::move(result));
+  }
+  metrics_.record_batch(batch.size(), batcher_ ? batcher_->queue_depth() : 0,
+                        exec.seconds() * 1e6);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    metrics_.record_status(results[i].status);
+    metrics_.record_done(batch[i].kind,
+                         micros_between(batch[i].enqueue_time, drain_time),
+                         micros_between(batch[i].enqueue_time, clock::now()));
+    batch[i].promise.set_value(std::move(results[i]));
   }
 }
 

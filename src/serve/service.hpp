@@ -7,10 +7,11 @@
 //   retrainer ──swap_model──▶ ModelStore (RCU publish)    └─ parallel top-N
 //                                                            scoring
 //
-// Every batch executes against exactly one model snapshot acquired at drain
-// time; swap_model publishes a new snapshot without blocking in-flight
-// batches and invalidates the result cache. All answers carry the snapshot
-// version that produced them.
+// A cache miss runs as soon as the drain thread is free; misses that queue
+// meanwhile form the next batch. Every batch executes against exactly one
+// model snapshot acquired at drain time; swap_model publishes a new snapshot
+// without blocking in-flight batches and invalidates the result cache. All
+// answers carry the snapshot version that produced them.
 #pragma once
 
 #include <atomic>
@@ -29,8 +30,7 @@
 namespace alsmf::serve {
 
 struct ServiceOptions {
-  std::size_t max_batch = 64;
-  long max_wait_us = 200;          ///< batching window (latency/QPS knob)
+  std::size_t max_batch = 64;         ///< most requests one batch takes
   std::size_t cache_capacity = 4096;  ///< top-N LRU entries; 0 disables
   /// Queued requests beyond which submits are rejected immediately
   /// (kRejectedQueueFull). 0 = unbounded.

@@ -40,7 +40,6 @@ PipelineOptions small_options(const std::string& dir) {
   options.ivf.clusters = 4;
   options.clients = 2;
   options.topn = 5;
-  options.serve.max_wait_us = 100;
   options.poll_us = 100;
   return options;
 }

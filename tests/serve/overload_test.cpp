@@ -21,7 +21,6 @@
 namespace alsmf::serve {
 namespace {
 
-using std::chrono::microseconds;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
@@ -54,7 +53,6 @@ TEST(Overload, BatcherShedsWhenQueueFull) {
   BatcherOptions options;
   options.max_batch = 1;
   options.max_queue = 1;
-  options.max_wait = microseconds(0);
   MicroBatcher batcher(
       options,
       [&](std::vector<ServeRequest>&& batch) {
@@ -87,7 +85,6 @@ TEST(Overload, BatcherShedsWhenQueueFull) {
 TEST(Overload, BatcherShedsExpiredDeadlinesAtDequeue) {
   std::atomic<int> executed{0};
   BatcherOptions options;
-  options.max_wait = microseconds(0);
   MicroBatcher batcher(options, [&](std::vector<ServeRequest>&& batch) {
     executed += static_cast<int>(batch.size());
     for (auto& r : batch) r.promise.set_value(ServeResult{});
@@ -109,7 +106,6 @@ TEST(Overload, BatcherShedsExpiredDeadlinesAtDequeue) {
 
 TEST(Overload, DegradedModeServesPopularityFallback) {
   ServiceOptions options;
-  options.max_wait_us = 0;
   RecommendService service(nullptr, options);  // no model published
 
   // Before a fallback is installed nothing can answer.
@@ -138,7 +134,6 @@ TEST(Overload, DegradedModeServesPopularityFallback) {
 
 TEST(Overload, FoldInBreakerOpensAfterRepeatedSolveFailures) {
   ServiceOptions options;
-  options.max_wait_us = 0;
   options.breaker.failure_threshold = 2;
   options.breaker.cooldown = std::chrono::minutes(10);
   RecommendService service(small_snapshot(), options);
@@ -173,7 +168,6 @@ TEST(Overload, NonFiniteFoldInRatingIsRejectedAtSubmit) {
 TEST(Overload, HammerAtTwiceCapacityShedsButNeverLosesARequest) {
   ServiceOptions options;
   options.max_batch = 8;
-  options.max_wait_us = 50;
   options.max_queue = 16;
   options.default_deadline_us = 200;
   options.cache_capacity = 0;  // force every request through the queue
@@ -234,7 +228,6 @@ TEST(Overload, HammerAtTwiceCapacityShedsButNeverLosesARequest) {
 
 TEST(Overload, StatsJsonIncludesOverloadAndBreaker) {
   ServiceOptions options;
-  options.max_wait_us = 0;
   RecommendService service(small_snapshot(), options);
   service.topn(1, 3);
   const auto json = service.stats_json();

@@ -43,7 +43,6 @@ real expected_score(std::uint64_t version) {
 TEST(SwapUnderLoad, EveryAnswerComesFromExactlyOneSnapshot) {
   ServiceOptions options;
   options.max_batch = 8;
-  options.max_wait_us = 100;
   options.cache_capacity = 64;
   RecommendService service(snapshot_for_next_version(1), options);
 
@@ -132,7 +131,6 @@ TEST(SwapUnderLoad, EveryAnswerComesFromExactlyOneSnapshot) {
 TEST(SwapUnderLoad, ModelAndIndexPairsSwapAtomically) {
   ServiceOptions options;
   options.max_batch = 8;
-  options.max_wait_us = 100;
   options.cache_capacity = 64;
   options.nprobe = 2;  // partial probing: the index is really in the path
   index::IvfOptions ivf;
