@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "als/reference.hpp"
+#include "common/error.hpp"
 #include "linalg/cholesky.hpp"
 #include "sparse/convert.hpp"
 
@@ -26,6 +27,7 @@ DeviceImplicitAls::DeviceImplicitAls(const Csr& interactions,
 
 void DeviceImplicitAls::half_update(const Csr& r, const Matrix& src,
                                     Matrix& dst, const char* name) {
+  ALSMF_CHECK(r.cols() == src.rows() && r.rows() == dst.rows());
   const int k = options_.k;
   const auto kk = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
 
@@ -95,10 +97,14 @@ void DeviceImplicitAls::half_update(const Csr& r, const Matrix& src,
           static_cast<std::size_t>(r.row_ptr()[static_cast<std::size_t>(u)]);
       g_cols.mark_read(row_begin, cols.size());
       g_vals.mark_read(row_begin, vals.size());
-      for (const index_t c : cols) {
-        g_src.mark_read(static_cast<std::size_t>(c) *
-                            static_cast<std::size_t>(k),
-                        static_cast<std::size_t>(k));
+      // Per-rating gathers are declared under the checker only: the Csr
+      // invariant keeps every column below r.cols() == src.rows().
+      if (ctx.validate()) {
+        for (const index_t c : cols) {
+          g_src.mark_read(static_cast<std::size_t>(c) *
+                              static_cast<std::size_t>(k),
+                          static_cast<std::size_t>(k));
+        }
       }
       implicit_solve_row(gram.data(), cols, vals, src, alpha, k, a.data(),
                          rhs.data());

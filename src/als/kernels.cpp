@@ -16,8 +16,8 @@ using devsim::GroupCtx;
 namespace check = devsim::check;
 
 /// Checked accessors over the buffers a half-update touches. Created per
-/// group; in unvalidated launches they degrade to bounds-checked views and
-/// the mark_* calls become no-ops.
+/// group; in unchecked launches they degrade to bounds-checked views and
+/// the mark_* calls only check bounds.
 struct UpdateSpans {
   check::GlobalSpan<const index_t> cols;
   check::GlobalSpan<const real> vals;
@@ -253,28 +253,37 @@ class BatchedKernel {
     // accumulate_gram's order contract makes staged and gathered sums
     // bitwise equal, so the values come straight from src. The generated
     // OpenCL kernels move the data.
-    const bool staged = tile_rows > 0;
-    const std::size_t step = staged ? tile_rows : cols.size();
-    const auto ws = static_cast<std::size_t>(ctx.group_size());
-    for (std::size_t base = 0; base < cols.size(); base += step) {
-      const std::size_t chunk = std::min(step, cols.size() - base);
-      for (std::size_t p = 0; p < chunk; ++p) {
-        ctx.set_lane(static_cast<int>(p % ws));
-        g.src.mark_read(static_cast<std::size_t>(cols[base + p]) * ku, ku);
-        if (staged) {
-          tile.mark_write(p * ku, ku);
-          rstage.mark_write(p, 1);
+    //
+    // Only a checked launch runs these per-rating declarations. Unchecked,
+    // each would only repeat a bounds check that cannot fail: the Csr
+    // constructor admits only column indices in [0, r.cols()), col_idx
+    // cannot change afterwards, and launch_update checks r.cols() ==
+    // src.rows(), so every gathered src row is in bounds; p < tile_rows
+    // keeps every tile row in bounds.
+    if (ctx.validate()) {
+      const bool staged = tile_rows > 0;
+      const std::size_t step = staged ? tile_rows : cols.size();
+      const auto ws = static_cast<std::size_t>(ctx.group_size());
+      for (std::size_t base = 0; base < cols.size(); base += step) {
+        const std::size_t chunk = std::min(step, cols.size() - base);
+        for (std::size_t p = 0; p < chunk; ++p) {
+          ctx.set_lane(static_cast<int>(p % ws));
+          g.src.mark_read(static_cast<std::size_t>(cols[base + p]) * ku, ku);
+          if (staged) {
+            tile.mark_write(p * ku, ku);
+            rstage.mark_write(p, 1);
+          }
         }
+        if (!staged) continue;
+        // The tile is consumed only after the group synchronizes (first
+        // barrier of the pair record_s1 prices per chunk)...
+        ctx.group_barrier();
+        ctx.set_lane(0);
+        tile.mark_read(0, chunk * ku);
+        rstage.mark_read(0, chunk);
+        // ...and refilled only after every lane finished reading it.
+        ctx.group_barrier();
       }
-      if (!staged) continue;
-      // The tile is consumed only after the group synchronizes (first
-      // barrier of the pair record_s1 prices per chunk)...
-      ctx.group_barrier();
-      ctx.set_lane(0);
-      tile.mark_read(0, chunk * ku);
-      rstage.mark_read(0, chunk);
-      // ...and refilled only after every lane finished reading it.
-      ctx.group_barrier();
     }
     assemble_normal_equations(cols, vals, *a_.src, lambda, k, smat.data(),
                               svec.data());
@@ -403,8 +412,12 @@ class FlatKernel {
       auto cols = r.row_cols(u);
       g.cols.mark_read(row_begin, cols.size());
       g.vals.mark_read(row_begin, cols.size());
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        g.src.mark_read(static_cast<std::size_t>(cols[p]) * ku, ku);
+      // Per-rating gathers are declared under the checker only; unchecked
+      // they stay in bounds by the argument in BatchedKernel::solve_row.
+      if (ctx.validate()) {
+        for (std::size_t p = 0; p < cols.size(); ++p) {
+          g.src.mark_read(static_cast<std::size_t>(cols[p]) * ku, ku);
+        }
       }
       const real lambda = a_.weighted_lambda
                               ? a_.lambda * static_cast<real>(r.row_nnz(u))
@@ -437,6 +450,9 @@ devsim::LaunchResult launch_update(devsim::Device& device,
                                    bool functional, bool validate) {
   ALSMF_CHECK(args.r && args.src && args.dst);
   ALSMF_CHECK(args.r->rows() == args.dst->rows());
+  // With the Csr invariant (every column index below r->cols()), this keeps
+  // every src row an unchecked launch gathers in bounds; the kernels declare
+  // per-rating gathers only under the checker (see solve_row).
   ALSMF_CHECK(args.r->cols() == args.src->rows());
   ALSMF_CHECK(args.src->cols() == args.k && args.dst->cols() == args.k);
   ALSMF_CHECK(group_size > 0);

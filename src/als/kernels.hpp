@@ -19,6 +19,9 @@
 // host blocks its loops. The local-memory variant allocates and prices its
 // staging tile and declares every staging access to the checker, but reads
 // the values straight from src; the generated OpenCL moves the data.
+// Per-rating declarations run in checked launches only: unchecked, they
+// would only repeat bounds checks that the Csr invariant (in-range column
+// indices) and launch_update's r->cols() == src->rows() check guarantee.
 #pragma once
 
 #include <string>

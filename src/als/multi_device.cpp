@@ -93,7 +93,9 @@ MultiDeviceAls::MultiDeviceAls(const Csr& train, const AlsOptions& options,
   init_factors(train_.rows(), train_.cols(), options_, x_, y_);
 }
 
-Csr MultiDeviceAls::slice_rows(const Csr& csr, index_t begin, index_t end) {
+std::shared_ptr<const Csr> MultiDeviceAls::slice_rows(const Csr& csr,
+                                                      index_t begin,
+                                                      index_t end) {
   ALSMF_CHECK(begin >= 0 && begin <= end && end <= csr.rows());
   aligned_vector<nnz_t> row_ptr(static_cast<std::size_t>(end - begin) + 1, 0);
   const nnz_t base = csr.row_ptr()[static_cast<std::size_t>(begin)];
@@ -108,8 +110,9 @@ Csr MultiDeviceAls::slice_rows(const Csr& csr, index_t begin, index_t end) {
                                   csr.col_idx().begin() + static_cast<std::ptrdiff_t>(first + count));
   aligned_vector<real> values(csr.values().begin() + static_cast<std::ptrdiff_t>(first),
                               csr.values().begin() + static_cast<std::ptrdiff_t>(first + count));
-  return Csr(end - begin, csr.cols(), std::move(row_ptr), std::move(col_idx),
-             std::move(values));
+  return std::make_shared<const Csr>(end - begin, csr.cols(),
+                                     std::move(row_ptr), std::move(col_idx),
+                                     std::move(values));
 }
 
 std::vector<std::size_t> MultiDeviceAls::alive_devices() const {
@@ -156,7 +159,7 @@ std::vector<std::pair<index_t, index_t>> MultiDeviceAls::row_partitions()
     const {
   std::vector<std::pair<index_t, index_t>> parts;
   for (const auto& s : x_shards_) {
-    parts.push_back({s.first_row, s.first_row + s.matrix.rows()});
+    parts.push_back({s.first_row, s.end_row()});
   }
   return parts;
 }
@@ -174,7 +177,7 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
   }
 
   const int k = options_.k;
-  Matrix local(shard.matrix.rows(), k);
+  Matrix local(shard.matrix->rows(), k);
   if (options_.functional && row_solver_->uses_warm_start()) {
     // Iterative strategies warm-start each row from its previous factor
     // value; seed the shard-local output with those rows as they stood
@@ -186,7 +189,7 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
     }
   }
   UpdateArgs args;
-  args.r = &shard.matrix;
+  args.r = shard.matrix.get();
   args.src = &src;
   args.dst = &local;
   args.lambda = options_.lambda;
@@ -266,8 +269,7 @@ double MultiDeviceAls::run_elastic(std::vector<Shard> work, const Matrix& src,
       const auto& o = outcomes[i];
       if (o.relaunched) ++report_.kernel_relaunches;
       if (o.lost) {
-        lost_ranges.push_back(
-            {work[i].first_row, work[i].first_row + work[i].matrix.rows()});
+        lost_ranges.push_back({work[i].first_row, work[i].end_row()});
         mark_dead(work[i].device);
         ++report_.launch_failures;
       } else {
@@ -371,8 +373,8 @@ std::vector<MultiDeviceAls::Shard> MultiDeviceAls::plan_recovery(
   std::vector<Shard> work;
   for (const auto& [begin, end] : ranges) {
     if (begin >= end) continue;
-    const Csr lost = slice_rows(full, begin, end);
-    const auto parts = balance_by_nnz(lost, alive.size());
+    const auto parts = balance_by_nnz(*slice_rows(full, begin, end),
+                                      alive.size());
     for (std::size_t i = 0; i < parts.size(); ++i) {
       if (parts[i].first >= parts[i].second) continue;
       work.push_back({alive[i],
@@ -433,7 +435,7 @@ double MultiDeviceAls::all_gather(Axis axis, const Matrix& src, Matrix& dst,
     for (const auto d : failed) {
       for (const auto& s : shards) {
         if (s.device == d) {
-          lost_ranges.push_back({s.first_row, s.first_row + s.matrix.rows()});
+          lost_ranges.push_back({s.first_row, s.end_row()});
         }
       }
       mark_dead(d);

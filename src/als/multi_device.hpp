@@ -13,6 +13,10 @@
 //    robust::fault_injection sites);
 //  * shards launch concurrently as the items of one parallel_for on the
 //    global pool, and a completed launch is the device's heartbeat;
+//  * each shard's rating slice is cut once per layout (at construction and
+//    after a repartition) and shared read-only by every wave, speculative
+//    copy and recovery launch, so a half-update moves only factor rows, as
+//    cuMF keeps each GPU's partition resident;
 //  * deadline-based straggler detection (half-step deadline = median shard
 //    seconds x straggler_deadline_factor) triggers speculative re-execution
 //    of the slow shard on the fastest healthy device;
@@ -189,8 +193,13 @@ class MultiDeviceAls {
 
   struct Shard {
     std::size_t device;  ///< index into devices_
-    Csr matrix;          ///< contiguous slice of rows (or transposed cols)
-    index_t first_row;   ///< offset into the global factor
+    /// Contiguous slice of rows (or transposed cols). Sliced once per
+    /// layout (assign_shards, plan_recovery); every wave, speculative copy
+    /// and recovery launch shares it read-only.
+    std::shared_ptr<const Csr> matrix;
+    index_t first_row;  ///< offset into the global factor
+
+    index_t end_row() const { return first_row + matrix->rows(); }
   };
 
   struct ShardOutcome {
@@ -209,7 +218,8 @@ class MultiDeviceAls {
                                      const char* name);
   /// Executes `work`, recovering from deaths by repartitioning onto
   /// survivors and recomputing lost ranges; returns the wave's effective
-  /// modeled seconds (including detection latency and recovery).
+  /// modeled seconds (including detection latency and recovery). Taking
+  /// `work` by value copies only the shards' slice pointers.
   double run_elastic(std::vector<Shard> work, const Matrix& src, Matrix& dst,
                      const char* name, Axis axis);
   /// All-gather of `dst` with link-fault retry/backoff; failed links fail
@@ -229,7 +239,8 @@ class MultiDeviceAls {
   void observe_recovery(double mttr_seconds);
   void metrics_update();
 
-  static Csr slice_rows(const Csr& csr, index_t begin, index_t end);
+  static std::shared_ptr<const Csr> slice_rows(const Csr& csr, index_t begin,
+                                               index_t end);
 
   Csr train_, train_t_;
   AlsOptions options_;

@@ -9,7 +9,10 @@
 // the system adds its products over the row's ratings in storage order,
 // one multiply and one add at a time, starting from zero. So a staged
 // tile would sum to the same bits as the gathered rows, which is why the
-// local-memory kernel declares its staging instead of copying (kernels.hpp).
+// local-memory kernel declares its staging to the checker instead of
+// copying, and unchecked launches skip the declarations (kernels.hpp). The
+// build passes -ffp-contract=off so that no compiler fuses the multiply and
+// the add into an FMA.
 // The variants differ only in the device activity they record, and that
 // accounting never depends on how the host arithmetic is blocked.
 #pragma once

@@ -28,13 +28,10 @@ inline void sgd_step(const Triplet& t, Matrix& x, Matrix& y, int k, real lr,
   }
 }
 
-/// sgd_step for Hogwild: every coordinate is read and updated atomically
-/// (relaxed), the model of Recht et al. Reads may be stale, but no update is
-/// lost; two threads running `+=` on one coordinate drop one of the two
-/// updates, and on small, hot factor matrices enough of them are dropped to
-/// slow convergence well behind the sequential order.
-inline void hogwild_step(const Triplet& t, Matrix& x, Matrix& y, int k,
-                         real lr, real lambda) {
+}  // namespace
+
+void hogwild_step(const Triplet& t, Matrix& x, Matrix& y, int k, real lr,
+                  real lambda) {
   using Coord = std::atomic_ref<real>;
   constexpr auto relaxed = std::memory_order_relaxed;
   real* xu = x.row(t.row).data();
@@ -51,8 +48,6 @@ inline void hogwild_step(const Triplet& t, Matrix& x, Matrix& y, int k,
     Coord(yi[f]).fetch_add(lr * (err * xf - lambda * yf), relaxed);
   }
 }
-
-}  // namespace
 
 SgdResult sgd_train(const Coo& train, const SgdOptions& options,
                     ThreadPool* pool) {

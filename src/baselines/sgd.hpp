@@ -28,6 +28,16 @@ struct SgdResult {
   std::vector<double> epoch_rmse;  ///< training RMSE after each epoch
 };
 
+/// One Hogwild SGD step on rating `t`: every coordinate of x's row t.row
+/// and y's row t.col is read and updated atomically (relaxed), the model of
+/// Recht et al. Reads may be stale, but no update is lost; two threads
+/// running `+=` on one coordinate drop one of the two updates, and on small,
+/// hot factor matrices enough of them are dropped to slow convergence well
+/// behind the sequential order. Both sgd_train(hogwild) and DeviceSgd step
+/// through it.
+void hogwild_step(const Triplet& t, Matrix& x, Matrix& y, int k, real lr,
+                  real lambda);
+
 /// Trains factors with SGD over the rating triplets. With hogwild=true the
 /// updates run lock-free on the pool with atomic per-coordinate adds (the
 /// Hogwild model of the paper [27]: stale reads, no lost update); otherwise

@@ -3,9 +3,9 @@
 #include <cmath>
 
 #include "als/metrics.hpp"
+#include "baselines/sgd.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "linalg/vecops.hpp"
 
 namespace alsmf {
 
@@ -48,17 +48,8 @@ void DeviceSgd::run_epoch() {
     for (std::size_t e = ctx.group_id(); e < entries.size(); e += stride) {
       ++local_count;
       if (!ctx.functional()) continue;
-      const Triplet& t = entries[e];
-      real* xu = x_.row(t.row).data();
-      real* yi = y_.row(t.col).data();
-      const real err =
-          t.value - vdot(xu, yi, static_cast<std::size_t>(k));
-      for (int f = 0; f < k; ++f) {
-        const real xf = xu[f];
-        const real yf = yi[f];
-        xu[f] += lr * (err * yf - lambda * xf);
-        yi[f] += lr * (err * xf - lambda * yf);
-      }
+      // Groups run concurrently and share factor rows: step atomically.
+      hogwild_step(entries[e], x_, y_, k, lr, lambda);
     }
 
     // Accounting for this group's slice: per rating, a dot pass plus two

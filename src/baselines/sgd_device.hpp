@@ -3,8 +3,9 @@
 // as SGD"). Follows cuMF-SGD's batch-Hogwild scheme: work-groups sweep
 // disjoint strided slices of the rating stream; within a group the k
 // factor dimensions are mapped across lanes (the same thread batching as
-// the ALS kernels), and cross-group update races are accepted Hogwild
-// style.
+// the ALS kernels). Groups share factor rows Hogwild style: every update
+// goes through sgd_train's atomic hogwild_step, so reads may be stale but
+// no update is lost.
 #pragma once
 
 #include <cstdint>

@@ -326,6 +326,15 @@ TEST(Kernels, InvalidArgsRejected) {
   args.dst = &x;
   args.k = 99;  // mismatched k
   EXPECT_THROW(launch_update(device, "u", args, 64, 32, true), Error);
+
+  // src has fewer rows than r has columns. Unchecked launches declare no
+  // per-rating gathers, so this check is what keeps them in bounds.
+  args.k = f.options.k;
+  Matrix short_src(f.train.cols() - 1, f.options.k);
+  args.src = &short_src;
+  EXPECT_THROW(launch_update(device, "u", args, 64, 32, true), Error);
+  args.variant = AlsVariant::flat_baseline();
+  EXPECT_THROW(launch_update(device, "u", args, 64, 32, true), Error);
 }
 
 }  // namespace
