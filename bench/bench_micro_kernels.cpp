@@ -77,28 +77,69 @@ void BM_BatchedCholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedCholesky)->Arg(256)->Arg(4096);
 
-void BM_AssembleNormalEquations(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const auto omega = static_cast<std::size_t>(state.range(1));
-  Matrix y(static_cast<index_t>(omega), k);
-  Rng rng(3);
-  y.fill_uniform(rng, -1, 1);
-  std::vector<index_t> cols(omega);
-  std::vector<real> vals(omega, 3.0f);
-  for (std::size_t i = 0; i < omega; ++i) cols[i] = static_cast<index_t>(i);
-  std::vector<real> smat(static_cast<std::size_t>(k) * k), svec(static_cast<std::size_t>(k));
-  for (auto _ : state) {
-    assemble_normal_equations(cols, vals, y, 0.1f, k, smat.data(),
-                              svec.data());
-    benchmark::DoNotOptimize(smat.data());
+/// One row of omega ratings over an omega × k factor: the direct and the
+/// product-table forms of the same assembly (bitwise equal results). The
+/// table is built outside the timed loop, as a trainer builds it once per
+/// half-update; items are ratings.
+struct AssembleInput {
+  int k;
+  Matrix y;
+  std::vector<index_t> cols;
+  std::vector<real> vals;
+  std::vector<real> smat, svec;
+
+  explicit AssembleInput(const benchmark::State& state)
+      : k(static_cast<int>(state.range(0))),
+        y(static_cast<index_t>(state.range(1)), k),
+        cols(static_cast<std::size_t>(state.range(1))),
+        vals(cols.size(), 3.0f),
+        smat(static_cast<std::size_t>(k) * static_cast<std::size_t>(k)),
+        svec(static_cast<std::size_t>(k)) {
+    Rng rng(3);
+    y.fill_uniform(rng, -1, 1);
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      cols[i] = static_cast<index_t>(i);
+    }
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(omega));
+};
+
+void assemble_args(benchmark::internal::Benchmark* b) {
+  b->Args({10, 32})
+      ->Args({10, 256})
+      ->Args({10, 4096})
+      ->Args({100, 256})
+      ->Args({2, 256})
+      ->Args({4, 256})
+      ->Args({16, 256});
 }
-BENCHMARK(BM_AssembleNormalEquations)
-    ->Args({10, 32})
-    ->Args({10, 256})
-    ->Args({10, 4096})
-    ->Args({100, 256});
+
+void BM_AssembleNormalEquations(benchmark::State& state) {
+  AssembleInput in(state);
+  for (auto _ : state) {
+    assemble_normal_equations(in.cols, in.vals, in.y, 0.1f, in.k,
+                              in.smat.data(), in.svec.data());
+    benchmark::DoNotOptimize(in.smat.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(in.cols.size()));
+}
+BENCHMARK(BM_AssembleNormalEquations)->Apply(assemble_args);
+
+void BM_AssembleFromProducts(benchmark::State& state) {
+  AssembleInput in(state);
+  ProductTable products;
+  products.build(in.y);
+  for (auto _ : state) {
+    assemble_normal_equations(in.cols, in.vals, products, 0.1f, in.k,
+                              in.smat.data(), in.svec.data());
+    benchmark::DoNotOptimize(in.smat.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(in.cols.size()));
+}
+BENCHMARK(BM_AssembleFromProducts)->Apply(assemble_args);
 
 void BM_CsrTranspose(benchmark::State& state) {
   SyntheticSpec spec;

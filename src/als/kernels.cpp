@@ -38,6 +38,19 @@ UpdateSpans make_spans(GroupCtx& ctx, const UpdateArgs& a) {
   return s;
 }
 
+/// Sums one row's normal equations from the half-update's product table
+/// when it has one, else straight from src: bitwise the same either way
+/// (row_solve.hpp).
+void assemble(const UpdateArgs& a, std::span<const index_t> cols,
+              std::span<const real> vals, real lambda, real* smat,
+              real* svec) {
+  if (a.products) {
+    assemble_normal_equations(cols, vals, *a.products, lambda, a.k, smat, svec);
+  } else {
+    assemble_normal_equations(cols, vals, *a.src, lambda, a.k, smat, svec);
+  }
+}
+
 // Pricing constants shared with the static analyzer (kernel_model.hpp):
 // both sides must charge the same launch identically.
 using kernel_model::kBarrierSlots;
@@ -285,8 +298,7 @@ class BatchedKernel {
         ctx.group_barrier();
       }
     }
-    assemble_normal_equations(cols, vals, *a_.src, lambda, k, smat.data(),
-                              svec.data());
+    assemble(a_, cols, vals, lambda, smat.data(), svec.data());
     ctx.section("S3");
     ctx.set_lane(0);
     auto dst = a_.dst->row(u);
@@ -422,8 +434,7 @@ class FlatKernel {
       const real lambda = a_.weighted_lambda
                               ? a_.lambda * static_cast<real>(r.row_nnz(u))
                               : a_.lambda;
-      assemble_normal_equations(cols, r.row_values(u), *a_.src,
-                                lambda, k, smat.data(), svec.data());
+      assemble(a_, cols, r.row_values(u), lambda, smat.data(), svec.data());
       ctx.section("S3");
       const real* warm = nullptr;
       if (warm_start) {
@@ -442,6 +453,21 @@ class FlatKernel {
 };
 
 }  // namespace
+
+bool product_table_pays(int k, index_t src_rows) {
+  return k >= kProductTableMinK &&
+         ProductTable::bytes(k, src_rows) <= kProductTableBudgetBytes;
+}
+
+const ProductTable* product_table_for(const Matrix& src, bool functional,
+                                      ProductTable& table) {
+  if (!functional || !product_table_pays(static_cast<int>(src.cols()),
+                                         src.rows())) {
+    return nullptr;
+  }
+  table.build(src);
+  return &table;
+}
 
 devsim::LaunchResult launch_update(devsim::Device& device,
                                    const std::string& kernel_name,
@@ -466,6 +492,11 @@ devsim::LaunchResult launch_update(devsim::Device& device,
     exact = make_exact_row_solver(a.solver);
     a.row_solver = exact.get();
   }
+  // Likewise a transient table when the caller brings none and one pays.
+  ProductTable own;
+  if (!a.products) a.products = product_table_for(*a.src, functional, own);
+  ALSMF_CHECK(!a.products || (a.products->k() == a.k &&
+                              a.products->rows() == a.src->rows()));
 
   devsim::LaunchConfig config;
   config.group_size = group_size;

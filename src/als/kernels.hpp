@@ -13,8 +13,8 @@
 // verified against hand counts in tests/devsim/.
 //
 // The host arithmetic and the accounting are separate. Every variant sums
-// each row's normal equations through the one assemble_normal_equations
-// call (row_solve.hpp), while the S1/S2/S3 counters come only from the
+// each row's normal equations through assemble_normal_equations
+// (row_solve.hpp), while the S1/S2/S3 counters come only from the
 // record_s* formulas, which read row lengths and the variant, never how the
 // host blocks its loops. The local-memory variant allocates and prices its
 // staging tile and declares every staging access to the checker, but reads
@@ -22,6 +22,13 @@
 // Per-rating declarations run in checked launches only: unchecked, they
 // would only repeat bounds checks that the Csr invariant (in-range column
 // indices) and launch_update's r->cols() == src->rows() check guarantee.
+//
+// Where product_table_pays, the batched and flat kernels sum a
+// ProductTable of src (each src row's products, formed once per
+// half-update) instead of multiplying per rating. The table is host
+// arithmetic only: the kernels still price and declare the src gathers
+// that the device kernel makes, so counters, modeled seconds and checker
+// findings are those of the direct path, and so are the factor bits.
 #pragma once
 
 #include <string>
@@ -55,7 +62,33 @@ struct UpdateArgs {
   /// must outlive the launch — strategies are stateless and shared safely
   /// across concurrent groups (scratch is per-group).
   const RowSolver* row_solver = nullptr;
+  /// Product table of `src` (product_table_for). nullptr = launch_update
+  /// builds a transient one when product_table_pays, else the kernels
+  /// multiply directly. Borrowed like row_solver; it must have been built
+  /// from `src` as it stands for this launch.
+  const ProductTable* products = nullptr;
 };
+
+/// The rule for summing a product table instead of multiplying. It moves
+/// only wall time, never bits (docs/solvers.md has the sweep behind it):
+///  * below kProductTableMinK a rating has so few products that gathering
+///    its padded table row costs more than multiplying them;
+///  * past kProductTableBudgetBytes (one core's L2 on the measured
+///    machine) the table's gathers come from the shared cache and cost
+///    more than the multiplies they replace.
+inline constexpr int kProductTableMinK = 6;
+inline constexpr std::size_t kProductTableBudgetBytes = std::size_t{2} << 20;
+
+/// Whether a half-update over a src of `src_rows` rows of k reals should
+/// sum a product table.
+bool product_table_pays(int k, index_t src_rows);
+
+/// Builds `table` from `src` and returns it when a functional half-update
+/// over `src` should sum one (product_table_pays); null otherwise. Trainers
+/// call it once per half-update with a table they keep, and share the
+/// result across every launch of that half-update.
+const ProductTable* product_table_for(const Matrix& src, bool functional,
+                                      ProductTable& table);
 
 /// Launches the half-update on `device`. `kernel_name` keys the device's
 /// per-section statistics ("update_x/S1" etc.). For the batched mapping,

@@ -199,6 +199,7 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
   args.variant = variant_;
   args.solver = options_.solver;
   args.row_solver = row_solver_.get();
+  args.products = products_;
 
   for (int attempt = 0;; ++attempt) {
     try {
@@ -474,9 +475,12 @@ void MultiDeviceAls::half_update(Axis axis, const Matrix& src, Matrix& dst,
   // one a helper or survivor holds from the last all-gather. Exact solvers
   // read no previous value, so they copy nothing.
   if (options_.functional && row_solver_->uses_warm_start()) warm_start_ = dst;
+  // One table per half-update: src stays fixed through every launch of it.
+  products_ = product_table_for(src, options_.functional, product_table_);
   const auto& shards = axis == Axis::kRows ? x_shards_ : y_shards_;
   modeled_seconds_ += run_elastic(shards, src, dst, name, axis);
   modeled_seconds_ += all_gather(axis, src, dst, name);
+  products_ = nullptr;
   metrics_update();
 }
 

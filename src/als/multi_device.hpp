@@ -252,6 +252,12 @@ class MultiDeviceAls {
   devsim::FaultModel fault_model_;
   std::vector<Shard> x_shards_, y_shards_;
   Matrix x_, y_;
+  /// Products of the running half-update's src, built once by
+  /// half_update and shared by every shard, wave, speculative copy and
+  /// recovery launch of it; `products_` points at it, or is null when the
+  /// kernels multiply directly.
+  ProductTable product_table_;
+  const ProductTable* products_ = nullptr;
   /// The updated factor as it stood before the running half-update: every
   /// launch of that half-update warm-starts from it (warm-start row solvers
   /// only; empty otherwise).

@@ -26,6 +26,26 @@ void assemble_normal_equations(std::span<const index_t> cols,
   finalize_gram(lambda, k, smat);
 }
 
+void assemble_normal_equations(std::span<const index_t> cols,
+                               std::span<const real> vals,
+                               const ProductTable& products, real lambda,
+                               int k, real* smat, real* svec) {
+  ALSMF_CHECK(cols.size() == vals.size());
+  ALSMF_CHECK(products.k() == k);
+  // The packed sums take the front of smat until they are unpacked.
+  std::fill(smat, smat + ProductTable::products(k), real{0});
+  std::fill(svec, svec + k, real{0});
+  std::array<const real*, kGramBlockRows> rows{};
+  for (std::size_t base = 0; base < cols.size(); base += rows.size()) {
+    const std::size_t n = std::min(rows.size(), cols.size() - base);
+    for (std::size_t p = 0; p < n; ++p) rows[p] = products.row(cols[base + p]);
+    accumulate_products({rows.data(), n}, vals.data() + base, products, smat,
+                        svec);
+  }
+  unpack_products(k, smat);
+  finalize_gram(lambda, k, smat);
+}
+
 bool solve_normal_equations(real* smat, real* svec, int k,
                             LinearSolverKind solver) {
   if (robust::fault_at(robust::FaultSite::kSolve)) {

@@ -2,17 +2,22 @@
 // normal equations  (Σ_{i∈Ω_u} y_i y_iᵀ + λI) x_u = Σ_{i∈Ω_u} r_ui y_i
 // and solve the k×k system.
 //
-// Every assembly of these equations — the batched (staged or not), flat
-// and SELL kernels, the reference, the guards, fold-in, serving and the
-// cuMF-like baseline — goes through the one register-blocked accumulator,
-// accumulate_gram (linalg/dense.hpp). Its order contract: each element of
-// the system adds its products over the row's ratings in storage order,
-// one multiply and one add at a time, starting from zero. So a staged
-// tile would sum to the same bits as the gathered rows, which is why the
-// local-memory kernel declares its staging to the checker instead of
-// copying, and unchecked launches skip the declarations (kernels.hpp). The
-// build passes -ffp-contract=off so that no compiler fuses the multiply and
-// the add into an FMA.
+// Every assembly of these equations sums in one of two forms under one
+// order contract (linalg/dense.hpp): each element of the system adds its
+// products over the row's ratings in storage order, each product rounded
+// once and added once, starting from zero.
+//  * The direct form, accumulate_gram, multiplies y_i[a]·y_i[b] as it adds
+//    it. Fold-in, serving, the guards, the reference, the cuMF-like
+//    baseline and the SELL kernel use it.
+//  * The table form sums a ProductTable, where each source row's products
+//    were multiplied once per half-update. The batched and flat kernels
+//    use it where the table pays (kernels.hpp).
+// A product rounds the same whether it is formed inside the sum or before
+// it, so the two forms agree bitwise; the build passes -ffp-contract=off so
+// that no compiler fuses a multiply into its add. By the same contract a
+// staged tile would sum to the same bits as the gathered rows, which is why
+// the local-memory kernel declares its staging to the checker instead of
+// copying, and unchecked launches skip the declarations (kernels.hpp).
 // The variants differ only in the device activity they record, and that
 // accounting never depends on how the host arithmetic is blocked.
 #pragma once
@@ -29,6 +34,14 @@ namespace alsmf {
 void assemble_normal_equations(std::span<const index_t> cols,
                                std::span<const real> vals, const Matrix& y,
                                real lambda, int k, real* smat, real* svec);
+
+/// Same system, summed from `products` (a table of the rows of y, with
+/// products.k() == k) instead of multiplying: bitwise the result of the
+/// overload above over the matrix the table was built from.
+void assemble_normal_equations(std::span<const index_t> cols,
+                               std::span<const real> vals,
+                               const ProductTable& products, real lambda,
+                               int k, real* smat, real* svec);
 
 /// Solves smat · x = svec in place (svec becomes x_u). Falls back to zero
 /// on a numerically failed factorization (cannot happen for λ > 0, checked

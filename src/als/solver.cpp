@@ -149,6 +149,7 @@ void AlsSolver::update_x() {
   args.variant = variant_;
   args.solver = options_.solver;
   args.row_solver = row_solver_.get();
+  args.products = product_table_for(y_, options_.functional, products_);
   launch_with_retry("update_x", args);
   guard_factor(x_, train_, y_);
   quantize_factor(x_);
@@ -166,6 +167,7 @@ void AlsSolver::update_y() {
   args.variant = variant_;
   args.solver = options_.solver;
   args.row_solver = row_solver_.get();
+  args.products = product_table_for(x_, options_.functional, products_);
   launch_with_retry("update_y", args);
   guard_factor(y_, train_t_, x_);
   quantize_factor(y_);

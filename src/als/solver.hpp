@@ -188,6 +188,9 @@ class AlsSolver {
   Rng rng_;
   Matrix x_, y_;
   std::unique_ptr<RowSolver> row_solver_;
+  /// Products of the running half-update's src, rebuilt by each one into
+  /// the same storage (product_table_for).
+  ProductTable products_;
   std::unique_ptr<AndersonMixer> anderson_;  ///< null when anderson_m == 0
   /// x_ already holds argmin for the current y_ (an accepted Anderson
   /// candidate's lookahead solve) — the next X half-update is skipped.

@@ -52,17 +52,22 @@ LaunchResult Device::launch(const std::string& name,
     ALSMF_CHECK_MSG(config.functional,
                     "validate=true requires a functional launch");
     checker.emplace(name, check_options_);
-    aligned_vector<std::byte> arena;
-    for (std::size_t i = 0; i < blocks; ++i) run_block(i, arena, &*checker);
+    reserve_arena(checked_arena_);
+    for (std::size_t i = 0; i < blocks; ++i) {
+      run_block(i, checked_arena_, &*checker);
+    }
   } else {
     // Arenas are per worker index: the pool's worker-index contract makes
-    // each one private to one running chunk.
+    // each one private to one running chunk. They outlive the launch, and
+    // all are sized before any runs, so only the first launch pays for
+    // allocating and zero-filling them, whichever workers join later ones.
     ThreadPool& pool = ThreadPool::global();
-    std::vector<aligned_vector<std::byte>> arenas(pool.size());
+    if (arenas_.size() < pool.size()) arenas_.resize(pool.size());
+    for (auto& arena : arenas_) reserve_arena(arena);
     pool.parallel_for(0, blocks,
                       [&](std::size_t b, std::size_t e, unsigned w) {
                         for (std::size_t i = b; i < e; ++i) {
-                          run_block(i, arenas[w], nullptr);
+                          run_block(i, arenas_[w], nullptr);
                         }
                       });
   }
@@ -240,6 +245,11 @@ std::string Device::stats_json() const {
 }
 
 void Device::reset_stats() { stats_.clear(); }
+
+void Device::reserve_arena(aligned_vector<std::byte>& arena) const {
+  const std::size_t capacity = local_capacity_bytes(profile_);
+  if (arena.size() < capacity) arena.resize(capacity);
+}
 
 KernelStats& Device::stats_for(const std::string& name) {
   auto it = std::find_if(stats_.begin(), stats_.end(),

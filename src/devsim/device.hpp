@@ -51,6 +51,9 @@ struct KernelStats {
   std::size_t launches = 0;
 };
 
+/// A Device runs one launch at a time: launches on one Device must not
+/// overlap (its statistics and its scratch-pad arenas are unsynchronized).
+/// Different Devices may launch concurrently.
 class Device {
  public:
   using Kernel = std::function<void(GroupCtx&)>;
@@ -113,6 +116,8 @@ class Device {
 
  private:
   KernelStats& stats_for(const std::string& name);
+  /// Sizes `arena` to the profile's scratch-pad capacity (GroupCtx's).
+  void reserve_arena(aligned_vector<std::byte>& arena) const;
 
   DeviceProfile profile_;
   std::vector<std::pair<std::string, KernelStats>> stats_;
@@ -120,6 +125,12 @@ class Device {
   obs::Registry* metrics_ = nullptr;
   check::CheckOptions check_options_;
   check::CheckReport check_report_;
+  /// Scratch-pad arenas kept across launches: one per pool worker index,
+  /// and one for checked launches (which run on the calling thread).
+  /// Kernels must not read scratch-pad they have not written in the same
+  /// group, as on hardware.
+  std::vector<aligned_vector<std::byte>> arenas_;
+  aligned_vector<std::byte> checked_arena_;
 };
 
 }  // namespace alsmf::devsim

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.hpp"
+
 namespace alsmf {
 
 double max_abs_diff(const Matrix& a, const Matrix& b) {
@@ -23,6 +25,13 @@ constexpr int kTile = 4;
 struct GatheredRows {
   const real* const* rows;
   const real* operator()(std::size_t p) const { return rows[p]; }
+};
+
+/// The y_p appended to gathered ProductTable rows.
+struct TableRows {
+  const real* const* rows;
+  std::size_t y_offset;
+  const real* operator()(std::size_t p) const { return rows[p] + y_offset; }
 };
 
 struct ContiguousRows {
@@ -119,6 +128,31 @@ void accumulate(const Rows& row, std::size_t n, const real* weights, int k,
   }
 }
 
+/// Reals per padded vector of a ProductTable row (one SSE register).
+constexpr std::size_t kProductVector = 4;
+/// Packed products summed in locals per pass of accumulate_products.
+constexpr std::size_t kProductBlock = 16;
+
+std::size_t round_up(std::size_t n, std::size_t to) {
+  return (n + to - 1) / to * to;
+}
+
+/// packed[off, off+valid) += Σ_p rows[p][off, off+W) over rows [0, n), in
+/// locals. Table rows are zero-padded to whole vectors, so the W reads
+/// never leave the row's products; only `valid` sums are loaded and stored.
+template <std::size_t W>
+void product_block(const real* const* rows, std::size_t n, std::size_t off,
+                   std::size_t valid, real* packed) {
+  real acc[W] = {};
+  for (std::size_t w = 0; w < valid; ++w) acc[w] = packed[off + w];
+  for (std::size_t p = 0; p < n; ++p) {
+    const real* t = rows[p] + off;
+#pragma GCC unroll 16
+    for (std::size_t w = 0; w < W; ++w) acc[w] += t[w];
+  }
+  for (std::size_t w = 0; w < valid; ++w) packed[off + w] = acc[w];
+}
+
 }  // namespace
 
 void accumulate_gram(std::span<const real* const> rows, const real* weights,
@@ -130,6 +164,94 @@ void accumulate_gram(const real* rows, std::size_t n, const real* weights,
                      int k, real* gram, real* rhs) {
   accumulate(ContiguousRows{rows, static_cast<std::size_t>(k)}, n, weights, k,
              gram, rhs);
+}
+
+std::size_t ProductTable::products(int k) {
+  const auto ku = static_cast<std::size_t>(k);
+  return ku * (ku + 1) / 2;
+}
+
+std::size_t ProductTable::stride(int k) {
+  return round_up(round_up(products(k), kProductVector) +
+                      static_cast<std::size_t>(k),
+                  kProductVector);
+}
+
+std::size_t ProductTable::bytes(int k, index_t rows) {
+  return stride(k) * static_cast<std::size_t>(rows) * sizeof(real);
+}
+
+std::size_t ProductTable::y_offset() const {
+  return round_up(products(k_), kProductVector);
+}
+
+void ProductTable::build(const Matrix& y) {
+  k_ = static_cast<int>(y.cols());
+  rows_ = y.rows();
+  stride_ = stride(k_);
+  const std::size_t n = stride_ * static_cast<std::size_t>(rows_);
+  if (data_.size() < n) data_.resize(n);
+  const auto ku = static_cast<std::size_t>(k_);
+  const std::size_t yoff = y_offset();
+  const std::size_t row_reals = stride_;
+  ThreadPool::global().parallel_for(
+      0, static_cast<std::size_t>(rows_),
+      [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t s = b; s < e; ++s) {
+          const real* ys = y.row(static_cast<index_t>(s)).data();
+          real* t = data_.data() + s * row_reals;
+          std::size_t at = 0;
+          for (std::size_t i = 0; i < ku; ++i) {
+            for (std::size_t j = i; j < ku; ++j) t[at++] = ys[i] * ys[j];
+          }
+          std::fill(t + at, t + yoff, real{0});
+          std::copy(ys, ys + ku, t + yoff);
+          std::fill(t + yoff + ku, t + row_reals, real{0});
+        }
+      });
+}
+
+void accumulate_products(std::span<const real* const> rows,
+                         const real* weights, const ProductTable& table,
+                         real* packed, real* rhs) {
+  const int k = table.k();
+  const std::size_t total = ProductTable::products(k);
+  for (std::size_t p0 = 0; p0 < rows.size(); p0 += kGramBlockRows) {
+    const real* const* block = rows.data() + p0;
+    const std::size_t n = std::min(kGramBlockRows, rows.size() - p0);
+    std::size_t off = 0;
+    for (; off + kProductBlock <= total; off += kProductBlock) {
+      product_block<kProductBlock>(block, n, off, kProductBlock, packed);
+    }
+    // The rest fits in whole vectors of the zero padding.
+    switch (round_up(total - off, kProductVector)) {
+      case 16: product_block<16>(block, n, off, total - off, packed); break;
+      case 12: product_block<12>(block, n, off, total - off, packed); break;
+      case 8: product_block<8>(block, n, off, total - off, packed); break;
+      case 4: product_block<4>(block, n, off, total - off, packed); break;
+      default: break;
+    }
+    if (rhs == nullptr) continue;
+    const TableRows y{block, table.y_offset()};
+    for (int i0 = 0; i0 < k; i0 += kTile) {
+      switch (std::min(kTile, k - i0)) {
+        case 4: rhs_tile<4>(y, 0, n, i0, weights + p0, rhs); break;
+        case 3: rhs_tile<3>(y, 0, n, i0, weights + p0, rhs); break;
+        case 2: rhs_tile<2>(y, 0, n, i0, weights + p0, rhs); break;
+        default: rhs_tile<1>(y, 0, n, i0, weights + p0, rhs); break;
+      }
+    }
+  }
+}
+
+void unpack_products(int k, real* gram) {
+  // Each element moves to an index at least its packed one, so walking
+  // backwards never overwrites a product before it has moved.
+  const auto ku = static_cast<std::size_t>(k);
+  std::size_t at = ProductTable::products(k);
+  for (std::size_t i = ku; i-- > 0;) {
+    for (std::size_t j = ku; j-- > i;) gram[i * ku + j] = gram[--at];
+  }
 }
 
 void finalize_gram(real lambda, int k, real* gram) {

@@ -74,24 +74,37 @@ class Matrix {
 /// Max |a-b| over all entries; requires equal shapes.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 
-/// Rows per register-blocked pass of accumulate_gram. Callers that gather
-/// row pointers collect this many at a time.
+/// Rows per register-blocked pass of accumulate_gram and
+/// accumulate_products. Callers that gather row pointers collect this many
+/// at a time.
 inline constexpr std::size_t kGramBlockRows = 64;
 
-/// The one Gram accumulator behind every normal-equation assembly. Over the
-/// block of rows y_p (k reals each) it adds Σ_p y_p y_pᵀ into the upper
-/// triangle (j ≥ i) of `gram` (k×k, row-major) and, when `rhs` is not null,
-/// Σ_p w_p y_p into `rhs` (k reals; `weights` holds w_p).
+// Gram sums come in two forms under one order contract: every element
+// starts from the value already stored and adds its products for
+// p = 0…n−1 in that order, each product rounded once and added once.
+//
+//  * accumulate_gram multiplies each product as it adds it;
+//  * accumulate_products adds products that a ProductTable multiplied
+//    earlier, once per source row instead of once per rating.
+//
+// A product rounds the same whether it is formed inside the sum or before
+// it, and neither form fuses the multiply into the add (the build passes
+// -ffp-contract=off), so both forms give bitwise the same sums.
+
+/// The direct form, behind every normal-equation assembly that has no
+/// product table. Over the block of rows y_p (k reals each) it adds
+/// Σ_p y_p y_pᵀ into the upper triangle (j ≥ i) of `gram` (k×k, row-major)
+/// and, when `rhs` is not null, Σ_p w_p y_p into `rhs` (k reals; `weights`
+/// holds w_p).
 ///
 /// It walks the triangle in tiles of at most 4×4 and keeps each tile's
 /// sums in locals across up to kGramBlockRows rows, so the k×k array is
 /// touched once per tile per block instead of once per row.
 ///
-/// Order contract: every element starts from the value already in `gram`
-/// (or `rhs`) and adds y_p[i]·y_p[j] (or w_p·y_p[i]) for p = 0…n−1 in that
-/// order, each as a separate multiply and add. The result is bitwise that
-/// of a one-row-at-a-time loop, whatever the tiling or the split of the
-/// rows into calls. The lower triangle is neither read nor written.
+/// Order contract (above): each element adds y_p[i]·y_p[j] (or w_p·y_p[i])
+/// as a separate multiply and add. The result is bitwise that of a
+/// one-row-at-a-time loop, whatever the tiling or the split of the rows
+/// into calls. The lower triangle is neither read nor written.
 void accumulate_gram(std::span<const real* const> rows, const real* weights,
                      int k, real* gram, real* rhs);
 
@@ -99,12 +112,63 @@ void accumulate_gram(std::span<const real* const> rows, const real* weights,
 void accumulate_gram(const real* rows, std::size_t n, const real* weights,
                      int k, real* gram, real* rhs);
 
+/// The products of every row of a factor matrix, formed once so that the
+/// Gram sums over many ratings of one row add them instead of multiplying.
+/// Row s holds the upper triangle of y_s y_sᵀ packed row by row
+/// (y_s[i]·y_s[j] for i ≤ j), zero-padded to whole vectors, followed by
+/// y_s itself, so summing one rating gathers one row.
+class ProductTable {
+ public:
+  /// Products per row: k(k+1)/2.
+  static std::size_t products(int k);
+  /// Reals per row: the padded products plus the k values of y_s, padded.
+  static std::size_t stride(int k);
+  /// Bytes of a table over `rows` rows of k reals.
+  static std::size_t bytes(int k, index_t rows);
+
+  /// Fills the table from `y` on the global thread pool. Storage is kept
+  /// across builds, so a table rebuilt every half-update allocates only
+  /// when it grows.
+  void build(const Matrix& y);
+
+  int k() const { return k_; }
+  index_t rows() const { return rows_; }
+  /// Row s: products first, then y_s at offset y_offset().
+  const real* row(index_t s) const {
+    return data_.data() + static_cast<std::size_t>(s) * stride_;
+  }
+  std::size_t y_offset() const;
+
+ private:
+  int k_ = 0;
+  index_t rows_ = 0;
+  std::size_t stride_ = 0;  ///< stride(k_)
+  aligned_vector<real> data_;
+};
+
+/// The table form. Over the block of table rows t_p of `table` it adds the
+/// products of Σ_p y_p y_pᵀ into `packed` (ProductTable::products(k)
+/// reals, the upper triangle packed row by row) and, when `rhs` is not
+/// null, Σ_p w_p y_p into `rhs`, under the order contract above. Sums are
+/// kept in locals over up to kGramBlockRows rows per block of packed
+/// products.
+void accumulate_products(std::span<const real* const> rows,
+                         const real* weights, const ProductTable& table,
+                         real* packed, real* rhs);
+
+/// Moves the packed upper triangle held in the first
+/// ProductTable::products(k) reals of `gram` (k×k) to its place in the
+/// upper triangle. The lower triangle is left undefined; finalize_gram
+/// overwrites it.
+void unpack_products(int k, real* gram);
+
 /// Adds λ to the diagonal of `gram` (k×k) and mirrors its upper triangle
 /// into the lower one.
 void finalize_gram(real lambda, int k, real* gram);
 
 /// C = Aᵀ·A + λI for row-major A (n×k): the full Gram matrix (k×k, row-major
-/// into `out`, which must hold k*k reals), summed by accumulate_gram.
+/// into `out`, which must hold k*k reals), summed by accumulate_gram. Every
+/// row is used once, so a product table would not pay.
 void gram_full(const Matrix& a, real lambda, real* out);
 
 /// y = Aᵀ·x for row-major A (n×k), x (n): out must hold k reals.

@@ -4,6 +4,7 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "als/reference.hpp"
 #include "sparse/convert.hpp"
@@ -93,6 +94,55 @@ TEST(FlatKernel, MatchesReferenceBitwise) {
     const Matrix actual = device_update_x(f, AlsVariant::flat_baseline(),
                                           devsim::profile_by_name(dev), 64);
     EXPECT_EQ(expected, actual) << dev;
+  }
+}
+
+TEST(ProductTable, LaunchPathsMatchReferenceBitwise) {
+  // Three ways a launch can sum its rows, on every variant and device: a
+  // table the caller built, a table launch_update builds itself, and the
+  // direct accumulator for a src over the rule. Each must give the
+  // reference's bits.
+  Fixture f;
+  ASSERT_TRUE(product_table_pays(f.options.k, f.train.cols()))
+      << "the shared fixture (VariantEquivalence too) must run the table path";
+  const Matrix expected = reference_update_x(f);
+  ProductTable table;
+  table.build(f.y_ref);
+
+  // Enough src rows that the table would pass the budget.
+  Fixture wide;
+  wide.train = testing::random_csr(60, 20000, 0.002, 23);
+  init_factors(wide.train.rows(), wide.train.cols(), wide.options, wide.x_ref,
+               wide.y_ref);
+  ASSERT_FALSE(product_table_pays(wide.options.k, wide.train.cols()));
+  const Matrix expected_wide = reference_update_x(wide);
+
+  std::vector<AlsVariant> variants{AlsVariant::flat_baseline()};
+  for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
+    variants.push_back(AlsVariant::from_mask(mask));
+  }
+  for (const AlsVariant& variant : variants) {
+    for (const char* dev : {"cpu", "gpu", "mic"}) {
+      SCOPED_TRACE(variant.name() + " on " + dev);
+      const DeviceProfile profile = devsim::profile_by_name(dev);
+      Device device(profile);
+      Matrix x = f.x_ref;
+      UpdateArgs args;
+      args.r = &f.train;
+      args.src = &f.y_ref;
+      args.dst = &x;
+      args.lambda = f.options.lambda;
+      args.k = f.options.k;
+      args.variant = variant;
+      args.products = &table;
+      launch_update(device, "caller_table", args, 64, 32, true);
+      EXPECT_EQ(expected, x) << "caller-built table";
+
+      EXPECT_EQ(expected, device_update_x(f, variant, profile))
+          << "table built by launch_update";
+      EXPECT_EQ(expected_wide, device_update_x(wide, variant, profile))
+          << "direct path";
+    }
   }
 }
 

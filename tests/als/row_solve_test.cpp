@@ -146,6 +146,41 @@ TEST(RowSolve, BlockedAccumulateMatchesRowByRowBitwise) {
   }
 }
 
+TEST(RowSolve, ProductTableMatchesAccumulateGramBitwise) {
+  // The table form adds products that the table multiplied once; the
+  // direct form multiplies each as it adds it. Values spanning ~12 decades
+  // make any reordering, or any product rounded twice, change the bits.
+  Rng rng(29);
+  ProductTable table;  // rebuilt for every k into the same storage
+  for (const int k : {1, 2, 3, 4, 5, 7, 8, 10, 11, 16, 17, 32}) {
+    Matrix y(90, static_cast<index_t>(k));
+    for (std::size_t e = 0; e < y.size(); ++e) y.data()[e] = mixed(rng);
+    table.build(y);
+    ASSERT_EQ(table.k(), k);
+    ASSERT_EQ(table.rows(), y.rows());
+    const auto kk = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
+    for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 300u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+      // Ratings of one row, with repeated columns as a gather may see.
+      std::vector<index_t> cols(n);
+      std::vector<real> vals(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        cols[p] = static_cast<index_t>(rng.bounded(90));
+        vals[p] = mixed(rng);
+      }
+      // Stale values in the outputs must not leak into either result.
+      std::vector<real> smat_direct(kk, real{7}), svec_direct(k, real{7});
+      std::vector<real> smat_table(kk, real{-3}), svec_table(k, real{-3});
+      assemble_normal_equations(cols, vals, y, 0.25f, k, smat_direct.data(),
+                                svec_direct.data());
+      assemble_normal_equations(cols, vals, table, 0.25f, k,
+                                smat_table.data(), svec_table.data());
+      EXPECT_EQ(bits(smat_table), bits(smat_direct));
+      EXPECT_EQ(bits(svec_table), bits(svec_direct));
+    }
+  }
+}
+
 TEST(RowSolve, SolveRecoversExactRow) {
   // If ratings are exactly y_i . x_true, the solve must recover x_true
   // (up to the lambda-induced shrinkage being small).

@@ -1,5 +1,6 @@
 // A no-fault multi-device iteration moves factor rows only: its shards share
-// the rating slices cut when the layout was made, so no wave copies a CSR.
+// the rating slices cut when the layout was made, so no wave copies a CSR,
+// and one product table per half-update. A Device keeps its launch arenas.
 //
 // The test counts heap bytes through a replacement global operator new, so
 // it is built as a binary of its own.
@@ -91,6 +92,75 @@ TEST(ShardAlloc, NoFaultIterationCopiesNoShardCsr) {
   // Same launches on the same input: the factors agree bitwise.
   EXPECT_EQ(multi.x(), single.x());
   EXPECT_EQ(multi.y(), single.y());
+}
+
+TEST(ShardAlloc, OneProductTablePerHalfUpdate) {
+  // Every shard of a half-update reads the same src, so the coordinator
+  // builds its product table once and shares it; a table per shard (four
+  // here) or a fresh one per half-update would allocate at least the two
+  // tables' bytes again on every iteration. The factors are large enough
+  // that the tables (~1.2 MB) outweigh what each extra shard launch
+  // allocates for its counters and its shard-local output.
+  const Csr train = testing::random_csr(2400, 2000, 0.04, 2203);
+  AlsOptions o;
+  o.k = 10;
+  o.lambda = 0.1f;
+  o.seed = 7;
+  o.num_groups = 256;
+  ASSERT_TRUE(product_table_pays(o.k, train.rows()));
+  ASSERT_TRUE(product_table_pays(o.k, train.cols()));
+  const double table_bytes =
+      static_cast<double>(ProductTable::bytes(o.k, train.rows()) +
+                          ProductTable::bytes(o.k, train.cols()));
+
+  // As above: a small scratch-pad keeps the launch arenas out of the count.
+  devsim::DeviceProfile profile = devsim::k20c();
+  profile.local_mem_bytes = 1024;
+  const AlsVariant variant = AlsVariant::batching_only();
+
+  devsim::Device device(profile);
+  AlsSolver single(train, o, variant, device);
+  MultiDeviceAls multi(train, o, variant, {profile, profile, profile, profile});
+  single.run_iteration();
+  multi.run_iteration();
+
+  const std::size_t single_bytes =
+      bytes_allocated_by([&] { single.run_iteration(); });
+  const std::size_t multi_bytes =
+      bytes_allocated_by([&] { multi.run_iteration(); });
+  EXPECT_LT(static_cast<double>(multi_bytes) -
+                static_cast<double>(single_bytes),
+            table_bytes)
+      << "single " << single_bytes << " B, multi " << multi_bytes
+      << " B per iteration, tables " << table_bytes << " B";
+  EXPECT_EQ(multi.x(), single.x());
+  EXPECT_EQ(multi.y(), single.y());
+}
+
+TEST(DeviceArena, SecondCpuLaunchReusesArenas) {
+  // The cpu profile's emulated scratch-pad is 4 MiB per arena; a Device
+  // sizes its arenas on the first launch and keeps them.
+  devsim::Device device(devsim::xeon_e5_2670_dual());
+  ASSERT_GE(devsim::local_capacity_bytes(device.profile()),
+            std::size_t{1} << 20);
+  devsim::LaunchConfig config;
+  config.num_groups = 256;
+  config.group_size = 32;
+  const auto kernel = [](devsim::GroupCtx& ctx) {
+    ctx.local_alloc<real>(16, "scratch");
+  };
+  device.launch("empty", config, kernel);
+  const std::size_t second =
+      bytes_allocated_by([&] { device.launch("empty", config, kernel); });
+  EXPECT_LT(second, std::size_t{64} << 10) << second << " B";
+
+  // Checked launches keep their own arena too.
+  config.validate = true;
+  device.launch("empty", config, kernel);
+  const std::size_t checked =
+      bytes_allocated_by([&] { device.launch("empty", config, kernel); });
+  EXPECT_LT(checked, devsim::local_capacity_bytes(device.profile()))
+      << checked << " B";
 }
 
 }  // namespace
