@@ -4,6 +4,7 @@
 //
 //   ./model_explorer --dataset NTFX --scale 64 --device cpu
 //                    [--variant 0..7|flat] [--group 32] [--k 10]
+//                    [--iters 5] [--functional] [--cumf]
 #include <cstdio>
 
 #include "als/solver.hpp"
@@ -22,7 +23,6 @@ int main(int argc, char** argv) {
   options.k = static_cast<int>(args.get_long("k", 10));
   options.iterations = static_cast<int>(args.get_long("iters", 5));
   options.group_size = static_cast<int>(args.get_long("group", 32));
-  options.functional = !args.has_flag("functional-off") ? false : false;
   options.functional = args.has_flag("functional");
 
   AlsVariant variant;

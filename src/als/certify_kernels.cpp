@@ -7,7 +7,6 @@
 
 #include "als/implicit_device.hpp"
 #include "als/kernels.hpp"
-#include "als/kernels_sell.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -19,7 +18,6 @@
 #include "ocl/analyze/parser.hpp"
 #include "ocl/kernel_flavors.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/sell.hpp"
 
 namespace alsmf {
 
@@ -47,13 +45,6 @@ const char* space_name(az::MemSpace s) {
     case az::MemSpace::kPrivate: return "private";
   }
   return "?";
-}
-
-bool has_arg(const az::KernelIR& ir, const std::string& name) {
-  for (const auto& a : ir.args) {
-    if (a.name == name) return true;
-  }
-  return false;
 }
 
 az::DatasetStats stats_of(const Csr& m) {
@@ -133,21 +124,6 @@ void certify_checked(const Csr& r, const CertifyKernelsOptions& options,
       run_variant(AlsVariant::batch_local_reg(), 0, "batch_local_reg/subspace",
                   subspace.get());
       run_variant(AlsVariant::flat_baseline(), 0, "flat/cg", cg.get());
-    }
-
-    // Flat over SELL-C-sigma storage.
-    {
-      const SellMatrix sell(r, device.profile().simd_width,
-                            device.profile().simd_width * 4);
-      Matrix dst(r.rows(), options.k);
-      SellUpdateArgs args;
-      args.r = &sell;
-      args.src = &src;
-      args.dst = &dst;
-      args.k = options.k;
-      launch_update_flat_sell(device, "flat_sell", args, /*functional=*/true,
-                              /*validate=*/true);
-      take_entry("flat_sell");
     }
 
     // Implicit-feedback device path (one iteration = two half-updates).
@@ -388,11 +364,9 @@ vf::KernelContract als_kernel_contract(const az::KernelIR& ir) {
   using vf::BufferContract;
   using vf::SymExpr;
   const long k = ir.k > 0 ? ir.k : 1;
-  const long ws = ir.ws > 0 ? ir.ws : 1;
 
   vf::KernelContract ct;
-  ct.lower = {{"ROWS", 1}, {"COLS", 1}, {"NNZ", 0},
-              {"SLICES", 1}, {"PADDED", 0}};
+  ct.lower = {{"ROWS", 1}, {"COLS", 1}, {"NNZ", 0}};
 
   BufferContract y;
   y.has_extent = true;
@@ -404,87 +378,37 @@ vf::KernelContract als_kernel_contract(const az::KernelIR& ir) {
   x.extent = SymExpr::sym("ROWS", k);
   ct.buffers["X"] = x;
 
-  if (has_arg(ir, "slice_ptr")) {
-    // SELL-C-sigma storage: values/col_idx are padded to PADDED elements,
-    // slice offsets pair with per-lane lengths, perm scatters rows.
-    BufferContract values;
-    values.has_extent = true;
-    values.extent = SymExpr::sym("PADDED");
-    ct.buffers["values"] = values;
+  // CSR storage.
+  BufferContract values;
+  values.has_extent = true;
+  values.extent = SymExpr::sym("NNZ");
+  ct.buffers["values"] = values;
 
-    BufferContract col;
-    col.has_extent = true;
-    col.extent = SymExpr::sym("PADDED");
-    col.has_values = true;
-    col.value_min = SymExpr::constant(0);
-    col.value_max = SymExpr::sym("COLS", 1, -1);
-    ct.buffers["col_idx"] = col;
+  BufferContract col;
+  col.has_extent = true;
+  col.extent = SymExpr::sym("NNZ");
+  col.has_values = true;
+  col.value_min = SymExpr::constant(0);
+  col.value_max = SymExpr::sym("COLS", 1, -1);
+  ct.buffers["col_idx"] = col;
 
-    BufferContract sp;
-    sp.has_extent = true;
-    sp.extent = SymExpr::sym("SLICES", 1, 1);
-    sp.offsets = true;
-    sp.offsets_total = SymExpr::sym("PADDED");
-    sp.has_values = true;
-    sp.value_min = SymExpr::constant(0);
-    sp.value_max = SymExpr::sym("PADDED");
-    sp.paired_lengths = "lane_len";
-    sp.pair_stride = ws;
-    sp.pair_total = SymExpr::sym("PADDED");
-    ct.buffers["slice_ptr"] = sp;
-
-    BufferContract perm;
-    perm.has_extent = true;
-    perm.extent = SymExpr::sym("SLICES", ws);
-    perm.has_values = true;
-    perm.value_min = SymExpr::constant(-1);  // -1 pads short slices
-    perm.value_max = SymExpr::sym("ROWS", 1, -1);
-    perm.injective = true;
-    ct.buffers["perm"] = perm;
-
-    BufferContract len;
-    len.has_extent = true;
-    len.extent = SymExpr::sym("SLICES", ws);
-    len.has_values = true;
-    len.value_min = SymExpr::constant(0);
-    len.value_max = SymExpr::sym("PADDED");
-    ct.buffers["lane_len"] = len;
-
-    ct.has_group_upper = true;
-    ct.group_upper = SymExpr::sym("SLICES");
-  } else {
-    // CSR storage.
-    BufferContract values;
-    values.has_extent = true;
-    values.extent = SymExpr::sym("NNZ");
-    ct.buffers["values"] = values;
-
-    BufferContract col;
-    col.has_extent = true;
-    col.extent = SymExpr::sym("NNZ");
-    col.has_values = true;
-    col.value_min = SymExpr::constant(0);
-    col.value_max = SymExpr::sym("COLS", 1, -1);
-    ct.buffers["col_idx"] = col;
-
-    BufferContract rp;
-    rp.has_extent = true;
-    rp.extent = SymExpr::sym("ROWS", 1, 1);
-    rp.offsets = true;
-    rp.offsets_total = SymExpr::sym("NNZ");
-    rp.has_values = true;
-    rp.value_min = SymExpr::constant(0);
-    rp.value_max = SymExpr::sym("NNZ");
-    ct.buffers["row_ptr"] = rp;
-  }
+  BufferContract rp;
+  rp.has_extent = true;
+  rp.extent = SymExpr::sym("ROWS", 1, 1);
+  rp.offsets = true;
+  rp.offsets_total = SymExpr::sym("NNZ");
+  rp.has_values = true;
+  rp.value_min = SymExpr::constant(0);
+  rp.value_max = SymExpr::sym("NNZ");
+  ct.buffers["row_ptr"] = rp;
 
   ct.scalar_args["rows"] = SymExpr::sym("ROWS");
 
   // Two consistent shape points: a square one and a ROWS > COLS one (the
   // latter witnesses output-aliasing overflows that a square grid hides).
   ct.witness_grid = {
-      {{"ROWS", 8}, {"COLS", 8}, {"NNZ", 32}, {"SLICES", 1}, {"PADDED", 64}},
-      {{"ROWS", 12}, {"COLS", 8}, {"NNZ", 32}, {"SLICES", 1}, {"PADDED", 64}},
+      {{"ROWS", 8}, {"COLS", 8}, {"NNZ", 32}},
+      {{"ROWS", 12}, {"COLS", 8}, {"NNZ", 32}},
   };
   return ct;
 }

@@ -2,7 +2,7 @@
 // every ALS kernel is correct on every device profile, in both of its
 // implementations.
 //
-// Generated OpenCL sources (ocl/kernel_flavors.hpp, 34 flavors) are
+// Generated OpenCL sources (ocl/kernel_flavors.hpp, 33 flavors) are
 // certified per staging tile — the generator default and a forced 4-row
 // tile, so multi-chunk staging and its barrier pairing are covered. Each
 // flavor is generated, parsed and lowered once per tile, and that one IR
@@ -14,8 +14,8 @@
 //    precision certificate (ocl/analyze/precision/), cross-checked on the
 //    fp16/bf16 flavors by the dynamic shadow witness.
 // The devsim C++ kernels (flat, the 8 batched variants, their CG flavors,
-// subspace, flat-on-SELL and the implicit path) run once under checked
-// execution (devsim/check/) on every profile.
+// subspace and the implicit path) run once under checked execution
+// (devsim/check/) on every profile.
 //
 // The gate fails closed: a parse failure, a lint diagnostic, a
 // checked-execution finding, an unprovable reference or race pair, an
@@ -126,10 +126,10 @@ struct KernelCertificate {
 /// run's k and group size are); findings are returned, not thrown.
 KernelCertificate certify_kernels(const CertifyKernelsOptions& options);
 
-/// Builds the ALS verification contract for one lowered kernel: CSR
-/// (values/col_idx/row_ptr) or SELL (slice_ptr/perm/lane_len) shapes are
-/// recognized from the argument names. Shared with the defect-corpus tests
-/// so the static leg verifies mutants under the very same assumptions.
+/// Builds the ALS verification contract for one lowered kernel: the CSR
+/// buffers (values/col_idx/row_ptr), the factor buffers X/Y and the row
+/// count. Shared with the defect-corpus tests so the static leg verifies
+/// mutants under the very same assumptions.
 ocl::analyze::verify::KernelContract als_kernel_contract(
     const ocl::analyze::KernelIR& ir);
 

@@ -7,8 +7,8 @@
 // products over the row's ratings in storage order, each product rounded
 // once and added once, starting from zero.
 //  * The direct form, accumulate_gram, multiplies y_i[a]·y_i[b] as it adds
-//    it. Fold-in, serving, the guards, the reference, the cuMF-like
-//    baseline and the SELL kernel use it.
+//    it. Fold-in, serving, the guards, the reference and the cuMF-like
+//    baseline use it.
 //  * The table form sums a ProductTable, where each source row's products
 //    were multiplied once per half-update. The batched and flat kernels
 //    use it where the table pays (kernels.hpp).

@@ -1,10 +1,33 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/error.hpp"
 
 namespace alsmf {
+
+namespace {
+
+// Converts all of `raw` with `convert` (the strtol/strtod shape). An empty
+// value, trailing text or ERANGE throws, naming the flag and the raw value.
+template <typename T, typename Convert>
+T parse_number(const std::string& name, const std::string& raw,
+               const char* kind, Convert convert) {
+  const char* begin = raw.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const T value = convert(begin, &end);
+  if (raw.empty() || end != begin + raw.size()) {
+    throw Error("--" + name + " expects " + kind + ", got '" + raw + "'");
+  }
+  if (errno == ERANGE) {
+    throw Error("--" + name + " value '" + raw + "' is out of range");
+  }
+  return value;
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -40,14 +63,20 @@ std::string CliArgs::get_or(const std::string& name,
 
 long CliArgs::get_long(const std::string& name, long def) const {
   auto v = get(name);
-  if (!v || v->empty()) return def;
-  return std::strtol(v->c_str(), nullptr, 10);
+  if (!v) return def;
+  return parse_number<long>(name, *v, "an integer",
+                            [](const char* s, char** end) {
+                              return std::strtol(s, end, 10);
+                            });
 }
 
 double CliArgs::get_double(const std::string& name, double def) const {
   auto v = get(name);
-  if (!v || v->empty()) return def;
-  return std::strtod(v->c_str(), nullptr);
+  if (!v) return def;
+  return parse_number<double>(name, *v, "a number",
+                              [](const char* s, char** end) {
+                                return std::strtod(s, end);
+                              });
 }
 
 bool CliArgs::has_flag(const std::string& name) const {

@@ -18,6 +18,9 @@ class CliArgs {
   std::optional<std::string> get(const std::string& name) const;
 
   std::string get_or(const std::string& name, const std::string& def) const;
+  /// The value of --name as a number, or `def` when the flag is absent.
+  /// Throws Error naming the flag and its value when the value is empty,
+  /// does not parse completely, or is out of range.
   long get_long(const std::string& name, long def) const;
   double get_double(const std::string& name, double def) const;
   bool has_flag(const std::string& name) const;

@@ -79,7 +79,6 @@ const char* to_string(LoopIR::Kind k) {
     case LoopIR::Kind::kChunkBody: return "chunk-body";
     case LoopIR::Kind::kLanePart: return "lane-partitioned";
     case LoopIR::Kind::kFixed: return "fixed";
-    case LoopIR::Kind::kDataDep: return "data-dependent";
   }
   return "?";
 }
@@ -1171,17 +1170,6 @@ class KernelLowerer {
           l.coeff("lane") == 1 && aff_is_const(r) && r.c > 0) {
         lane_bound = r.c;
       }
-      // `if (v < 0) return;` on an indirect value (SELL slice padding):
-      // everything after the guard sees v >= 0.
-      if (c.name == "<" && l.ok && l.c == 0 && l.t.size() == 1 &&
-          aff_is_const(r) && r.c == 0 && body_exits(s.body)) {
-        const auto& [tag, coeff] = *l.t.begin();
-        if (coeff == 1 && tag.rfind("seg#", 0) == 0) {
-          for (auto& ind : out_.indirects) {
-            if (ind.tag == tag) ind.nonneg_guarded = true;
-          }
-        }
-      }
     }
 
     // `if (lx == 0) cholesky_solve_inplace(smat, svec);` — the single-lane
@@ -1359,12 +1347,6 @@ class KernelLowerer {
                step_c == 1 && !step_down) {
       frame.kind = LoopIR::Kind::kChunkBody;
       mult.chunk_body = 1;
-      env_[var] = make_affine_sym(
-          aff_term("loopvar#" + std::to_string(frame.id)));
-    } else if (bound_aff.ok && bound_aff.has_prefix("seg#") && step_c == 1) {
-      // SELL: per-lane length from lane_len[] — nnz-like.
-      frame.kind = LoopIR::Kind::kDataDep;
-      mult.per_nnz = 1;
       env_[var] = make_affine_sym(
           aff_term("loopvar#" + std::to_string(frame.id)));
     } else if (step_c == 1 && step_down && c.name == ">=" &&

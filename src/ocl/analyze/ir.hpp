@@ -82,7 +82,6 @@ struct LoopIR {
     kChunkBody,   // z < chunk inside a chunked loop
     kLanePart,    // for (i = lx; i < N; i += WS): lanes partition N
     kFixed,       // compile-time trip count
-    kDataDep,     // data-dependent bound treated as nnz-like (SELL lanes)
   };
   Kind kind = Kind::kFixed;
   double trips = 1;        // kFixed: exact; kLanePart: partitioned bound
@@ -206,7 +205,6 @@ struct IndirectIR {
   std::string buffer;
   long scale = 1;          // gather#: the multiplier; seg#: 1
   AffineIdx load_index;    // index of the load producing the value
-  bool nonneg_guarded = false;  // an `if (v < 0) return;` guard dominates use
 };
 
 /// A `omega = row_ptr[u + 1] - row_ptr[u]` segment-length variable: the

@@ -218,7 +218,6 @@ class Walker {
         case LoopIR::Kind::kRowStride:
           return 1;  // the certificate is per worst-case row
         case LoopIR::Kind::kNnz:
-        case LoopIR::Kind::kDataDep:
           return omega;
         case LoopIR::Kind::kChunked:
           return std::ceil(omega / tile);
@@ -281,7 +280,7 @@ class Walker {
     }
   }
 
-  /// Inline factorization (flat / SELL): every k×k-sized real array plays
+  /// Inline factorization (flat): every k×k-sized real array plays
   /// the matrix, every k-sized one the rhs/solution.
   void apply_inline_contract() {
     const long kk = ir_.k * ir_.k;

@@ -18,8 +18,8 @@
 // and the solution error is the standard perturbation bound
 //   err_x ≤ (k·err_A·B_x + err_b)/λ_min + k²·u·(|A|·B_x + |b|)/λ_min
 // applied at the lane-0 `*_solve_inplace` call (batched kernels) or at the
-// inline factorization section (flat / SELL kernels, delimited from the
-// first sqrt statement to the output store loop).
+// inline factorization section (the flat kernel, delimited from the first
+// sqrt statement to the output store loop).
 //
 // Certification gates (the CLI exits nonzero on any):
 //   * overflow-possible — an exact-value interval crosses the finite

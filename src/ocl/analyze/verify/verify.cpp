@@ -506,53 +506,6 @@ class Verifier {
     return true;
   }
 
-  /// SELL pairing: seg(slice_ptr[s]) + WS·z + lane with z bounded by
-  /// seg(lane_len[s·WS + lane]) stays within [0, padded-1].
-  bool sell_rule(const std::map<std::string, long>& terms, long c,
-                 Range* out) const {
-    std::string seg_tag;
-    for (const auto& [tag, coeff] : terms) {
-      if (tag.rfind("seg#", 0) == 0 && coeff == 1) seg_tag = tag;
-    }
-    if (seg_tag.empty() || terms.size() != 3) return false;
-    const IndirectIR* base = ir_.indirect_by_tag(seg_tag);
-    if (!base) return false;
-    const BufferContract* bc = contract_of(base->buffer);
-    if (!bc || bc->paired_lengths.empty() || bc->pair_stride <= 0) {
-      return false;
-    }
-    const long s = bc->pair_stride;
-    auto lane_it = terms.find("lane");
-    if (lane_it == terms.end() || lane_it->second != 1) return false;
-    const LoopIR* dloop = nullptr;
-    for (const auto& [tag, coeff] : terms) {
-      if (tag.rfind("loopvar#", 0) != 0) continue;
-      if (coeff != s) return false;
-      dloop = ir_.loop_by_id(std::stol(tag.substr(8)));
-    }
-    if (!dloop || dloop->kind != LoopIR::Kind::kDataDep) return false;
-    const AffineIdx& b = dloop->bound_affine;
-    if (!b.ok || b.c != 0 || b.terms.size() != 1) return false;
-    const auto& [btag, bcoeff] = *b.terms.begin();
-    if (bcoeff != 1 || btag.rfind("seg#", 0) != 0) return false;
-    const IndirectIR* len = ir_.indirect_by_tag(btag);
-    if (!len || len->buffer != bc->paired_lengths) return false;
-    // len load index must be (base load index)·s + lane.
-    AffineIdx want;
-    want.c = sat_mul(base->load_index.c, s);
-    for (const auto& [n, v] : base->load_index.terms) {
-      want.terms[n] = sat_mul(v, s);
-    }
-    want.terms["lane"] += 1;
-    if (!base->load_index.ok || !len->load_index.ok) return false;
-    if (len->load_index.c != want.c || len->load_index.terms != want.terms) {
-      return false;
-    }
-    *out = Range::exact(SymExpr::constant(c),
-                        bc->pair_total.plus_const(c - 1));
-    return true;
-  }
-
   // --- per-term ranges ---
 
   Range lane_range(const RefIR& ref) const {
@@ -585,11 +538,8 @@ class Verifier {
       r.hi.inf = true;
       return r;
     }
-    SymExpr lo = bc->value_min;
-    if (ind.nonneg_guarded && lo.is_const() && lo.c < 0) {
-      lo = SymExpr::constant(0);
-    }
-    Range r = Range::exact(lo.scaled(ind.scale), bc->value_max.scaled(ind.scale),
+    Range r = Range::exact(bc->value_min.scaled(ind.scale),
+                           bc->value_max.scaled(ind.scale),
                            std::max(std::abs(ind.scale), 1L));
     if (ind.scale < 0) std::swap(r.lo, r.hi);
     return r;
@@ -607,13 +557,7 @@ class Verifier {
       }
       return Range::lower_only(0);
     }
-    if (tag == "group") {
-      if (ct_.has_group_upper) {
-        return Range::exact(SymExpr::constant(0),
-                            ct_.group_upper.plus_const(-1));
-      }
-      return Range::lower_only(0);
-    }
+    if (tag == "group") return Range::lower_only(0);
     if (tag == "ngroups") return Range::lower_only(1);
     if (tag.rfind("lanepos#", 0) == 0) {
       const LoopIR* l = ir_.loop_by_id(std::stol(tag.substr(8)));
@@ -669,21 +613,6 @@ class Verifier {
           if (c && c->step > 0) return Range::consts(0, c->step - 1);
           return Range::lower_only(0);
         }
-        case LoopIR::Kind::kDataDep: {
-          const AffineIdx& b = l->bound_affine;
-          if (b.ok && b.c == 0 && b.terms.size() == 1 &&
-              b.terms.begin()->second == 1) {
-            const IndirectIR* ind = ir_.indirect_by_tag(b.terms.begin()->first);
-            if (ind) {
-              Range v = value_range(*ind);
-              if (v.ok && !v.hi.inf) {
-                return Range::exact(SymExpr::constant(0),
-                                    v.hi.e.plus_const(-1));
-              }
-            }
-          }
-          return Range::lower_only(0);
-        }
         case LoopIR::Kind::kLanePart:
           return lanepart_span(*l);
         case LoopIR::Kind::kRowStride:
@@ -727,8 +656,6 @@ class Verifier {
                             bc->offsets_total.plus_const(ref.affine.c - 1));
       }
     }
-    Range sell;
-    if (sell_rule(terms, ref.affine.c, &sell)) return sell;
     AffineIdx norm;
     norm.c = ref.affine.c;
     norm.terms = terms;
@@ -1121,14 +1048,6 @@ class Verifier {
                                            ind->load_index, rb, ctx, depth + 1);
       if (!ld.ok) return false;
       if (ld.vars.empty() && ld.c0 == 0) return true;  // same element loaded
-      Solver s(ld.vars, ld.c0, 100000);
-      const Sat same = s.solve();
-      const BufferContract* bc = contract_of(ind->buffer);
-      const bool inj =
-          bc && bc->injective &&
-          (ind->nonneg_guarded ||
-           (bc->has_values && bc->value_min.is_const() &&
-            bc->value_min.c >= 0));
       DVar v;
       v.coeff = ca;
       v.stride = stride;
@@ -1141,8 +1060,6 @@ class Verifier {
       } else {
         v.lo_inf = v.hi_inf = true;
       }
-      // Loads proven distinct + injective values => the delta cannot be 0.
-      v.excl0 = (same == Sat::kNo) && inj;
       v.name = tag + "@delta";
       out->vars.push_back(v);
       return true;

@@ -65,22 +65,14 @@ struct BufferContract {
   bool has_extent = false;
   SymExpr extent;  // element count
 
-  // Value facts for int buffers (col_idx, row_ptr, perm, ...).
+  // Value facts for int buffers (col_idx, row_ptr, ...).
   bool has_values = false;
   SymExpr value_min, value_max;
-  bool injective = false;  // distinct in-bounds indices hold distinct values
 
   // Offsets buffer (CSR row_ptr): monotone non-decreasing, so any
   // `v = buf[i+1] - buf[i]` satisfies buf[i] + v <= offsets_total.
   bool offsets = false;
   SymExpr offsets_total;
-
-  // SELL-style pairing: this offsets buffer O and a lengths buffer L with
-  // O[s] + pair_stride * L[s*pair_stride + lane] <= O[s+1] for every lane,
-  // and O[last] == pair_total.
-  std::string paired_lengths;
-  long pair_stride = 0;
-  SymExpr pair_total;
 };
 
 /// Whole-kernel contract: buffers by argument name, scalar arguments that
@@ -92,9 +84,6 @@ struct KernelContract {
 
   std::map<std::string, long> lower;    // symbol >= value (default 0)
   std::map<std::string, SymExpr> upper;  // symbol <= expr
-
-  bool has_group_upper = false;
-  SymExpr group_upper;  // group id < group_upper (SELL: slice count)
 
   /// Concrete, mutually consistent shape assignments used to *prove* a
   /// violation (every symbol the report may mention must be assigned).

@@ -21,9 +21,9 @@ std::vector<KernelFlavor> enumerate_kernel_flavors(const KernelConfig& c) {
     }
   };
 
-  // The flat/SELL baselines are kept exact at the default S3: normalize
-  // the knobs the enumeration owns so a caller's row_solver/storage cannot
-  // leak into their preamble text (the CRC-pinned source is canonical).
+  // The flat baseline is kept exact at the default S3: normalize the knobs
+  // the enumeration owns so a caller's row_solver/storage cannot leak into
+  // its preamble text (the CRC-pinned source is canonical).
   KernelConfig flat_c = c;
   flat_c.row_solver = RowSolverKind::kCholesky;
   flat_c.storage = StoragePrecision::kFp32;
@@ -36,12 +36,6 @@ std::vector<KernelFlavor> enumerate_kernel_flavors(const KernelConfig& c) {
 
   add_batched(RowSolverKind::kCholesky, StoragePrecision::kFp32);
   add_batched(RowSolverKind::kCg, StoragePrecision::kFp32);
-
-  KernelFlavor sell;
-  sell.name = "als_update_flat_sell";
-  sell.source = sell_kernel_source(flat_c);
-  sell.variant = AlsVariant::flat_baseline();
-  flavors.push_back(std::move(sell));
 
   // Mixed-precision storage flavors: cholesky only — the CG iterate's value
   // range is not certifiable against narrow storage (kernel_source.hpp).

@@ -25,8 +25,8 @@ struct KernelFlavor {
 };
 
 /// Every generated flavor at `config`, in the pinned sweep order:
-/// flat, the 8 batched cholesky variants, the 8 batched cg variants, SELL,
-/// then the 8 batched cholesky variants × {fp16, bf16} storage (34 total).
+/// flat, the 8 batched cholesky variants, the 8 batched cg variants, then
+/// the 8 batched cholesky variants × {fp16, bf16} storage (33 total).
 /// `config.row_solver` / `config.storage` are overridden per flavor; the
 /// remaining fields (k, group size, tile rows) apply to all of them.
 std::vector<KernelFlavor> enumerate_kernel_flavors(const KernelConfig& config);

@@ -28,7 +28,7 @@ void emit_header_comment(std::ostringstream& os, const std::string& name,
   if (c.storage != StoragePrecision::kFp32) {
     os << "// storage: " << to_string(c.storage)
        << " factors/ratings, real_t accumulation (certified by\n";
-    os << "// alsmf_cli analyze-precision before any device runs it)\n";
+    os << "// alsmf_cli certify-kernels before any device runs it)\n";
   }
   os << "//\n";
 }
@@ -424,78 +424,6 @@ std::string flat_kernel_source(const KernelConfig& c) {
   os << "    svec[i] = s / smat[i * K + i];\n";
   os << "  }\n";
   os << "  for (int f = 0; f < K; ++f) X[u * K + f] = svec[f];\n";
-  os << "}\n";
-  return os.str();
-}
-
-std::string sell_kernel_source(const KernelConfig& c) {
-  std::ostringstream os;
-  os << "// als_update_flat_sell — auto-generated ALS update kernel\n";
-  os << "// storage: SELL-C-sigma (C = WS lanes per slice, column-major)\n";
-  os << "// mapping: one work-group per slice; each lane owns one row\n";
-  os << "//\n";
-  os << kernel_preamble(c);
-  os << "// Format-side divergence remedy: slices are sorted by row length\n";
-  os << "// and padded, so lanes of a bundle walk similar-length rows and\n";
-  os << "// segment loads (base + j * WS + lane) are unit-stride.\n";
-  os << "__kernel void als_update_flat_sell(\n";
-  os << "    __global const real_t* restrict values,\n";
-  os << "    __global const int*    restrict col_idx,\n";
-  os << "    __global const int*    restrict slice_ptr,\n";
-  os << "    __global const int*    restrict perm,\n";
-  os << "    __global const int*    restrict lane_len,\n";
-  os << "    __global const real_t* restrict Y,\n";
-  os << "    __global real_t*       restrict X,\n";
-  os << "    const real_t lambda) {\n";
-  os << "  const int s = get_group_id(0);\n";
-  os << "  const int lane = get_local_id(0);\n";
-  os << "  const int at = s * WS + lane;\n";
-  os << "  const int row = perm[at];\n";
-  os << "  if (row < 0) return;\n";
-  os << "  const int base = slice_ptr[s];\n";
-  os << "  const int len = lane_len[at];\n";
-  os << "  real_t smat[K * K];\n";
-  os << "  real_t svec[K];\n";
-  os << "  for (int i = 0; i < K * K; ++i) smat[i] = (real_t)0;\n";
-  os << "  for (int i = 0; i < K; ++i) svec[i] = (real_t)0;\n";
-  os << "  // S1 + S2 over the lane's padded row (len excludes padding; a\n";
-  os << "  // zero-length row falls through to the regularized zero solve).\n";
-  os << "  for (int z = 0; z < len; ++z) {\n";
-  os << "    const int d = col_idx[base + z * WS + lane] * K;\n";
-  os << "    const real_t r = values[base + z * WS + lane];\n";
-  os << "    for (int i = 0; i < K; ++i) {\n";
-  os << "      const real_t yi = Y[d + i];\n";
-  os << "      for (int j = i; j < K; ++j) smat[i * K + j] += yi * Y[d + j];\n";
-  os << "      svec[i] += r * yi;\n";
-  os << "    }\n";
-  os << "  }\n";
-  os << "  for (int i = 0; i < K; ++i) {\n";
-  os << "    smat[i * K + i] += lambda;\n";
-  os << "    for (int j = i + 1; j < K; ++j) smat[j * K + i] = smat[i * K + j];\n";
-  os << "  }\n";
-  os << "  // S3 (private-memory Cholesky)\n";
-  os << "  for (int j = 0; j < K; ++j) {\n";
-  os << "    real_t d = smat[j * K + j];\n";
-  os << "    for (int p = 0; p < j; ++p) d -= smat[j * K + p] * smat[j * K + p];\n";
-  os << "    const real_t ljj = sqrt(d);\n";
-  os << "    smat[j * K + j] = ljj;\n";
-  os << "    for (int i = j + 1; i < K; ++i) {\n";
-  os << "      real_t s2 = smat[i * K + j];\n";
-  os << "      for (int p = 0; p < j; ++p) s2 -= smat[i * K + p] * smat[j * K + p];\n";
-  os << "      smat[i * K + j] = s2 / ljj;\n";
-  os << "    }\n";
-  os << "  }\n";
-  os << "  for (int i = 0; i < K; ++i) {\n";
-  os << "    real_t s2 = svec[i];\n";
-  os << "    for (int p = 0; p < i; ++p) s2 -= smat[i * K + p] * svec[p];\n";
-  os << "    svec[i] = s2 / smat[i * K + i];\n";
-  os << "  }\n";
-  os << "  for (int i = K - 1; i >= 0; --i) {\n";
-  os << "    real_t s2 = svec[i];\n";
-  os << "    for (int p = i + 1; p < K; ++p) s2 -= smat[p * K + i] * svec[p];\n";
-  os << "    svec[i] = s2 / smat[i * K + i];\n";
-  os << "  }\n";
-  os << "  for (int f = 0; f < K; ++f) X[row * K + f] = svec[f];\n";
   os << "}\n";
   return os.str();
 }

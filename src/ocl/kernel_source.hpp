@@ -33,7 +33,7 @@ struct KernelConfig {
   /// parameters while every accumulator stays real_t. Only the batched
   /// cholesky variants have narrow flavors — the CG iterate's value range
   /// is not certifiable against the fp16 ceiling (docs/static-analysis.md),
-  /// and the flat/SELL baselines are comparison points we keep exact.
+  /// and the flat baseline is a comparison point we keep exact.
   StoragePrecision storage = StoragePrecision::kFp32;
 };
 
@@ -45,12 +45,6 @@ std::string batched_kernel_source(const AlsVariant& variant,
 /// OpenCL C source of the flat SAC'15 baseline kernel (one work-item per
 /// row, Algorithm 2).
 std::string flat_kernel_source(const KernelConfig& config);
-
-/// OpenCL C source of the flat update over SELL-C-sigma storage (the
-/// format-side divergence remedy; sparse/sell.hpp): one work-group per
-/// slice, one lane per row, column-major slice layout so lane loads of the
-/// CSR segment are unit-stride.
-std::string sell_kernel_source(const KernelConfig& config);
 
 /// The preamble shared by all kernels (types, Cholesky helpers).
 std::string kernel_preamble(const KernelConfig& config);
@@ -70,9 +64,9 @@ std::string kernel_name(const AlsVariant& variant, RowSolverKind row_solver);
 std::string kernel_name(const AlsVariant& variant, RowSolverKind row_solver,
                         StoragePrecision storage);
 
-/// Writes all 34 kernels (8 batched variants × {cholesky, cg} + flat +
-/// SELL + 8 batched cholesky variants × {fp16, bf16} storage) into a
-/// directory, one .cl file each; returns the number written. The set is
+/// Writes all 33 kernels (8 batched variants × {cholesky, cg} + flat +
+/// 8 batched cholesky variants × {fp16, bf16} storage) into a directory,
+/// one .cl file each; returns the number written. The set is
 /// enumerate_kernel_flavors (ocl/kernel_flavors.hpp).
 int write_kernel_files(const std::string& directory,
                        const KernelConfig& config);

@@ -90,28 +90,22 @@ TEST(AnalyzeIr, FlatKernelIsUnbatchedWithGatheredTraversal) {
   EXPECT_TRUE(gathered_y);
 }
 
-TEST(AnalyzeIr, SellKernelHasDataDependentLoopAndUnitStrideSegments) {
-  const KernelIR ir = lower_one(sell_kernel_source(config()));
-  EXPECT_EQ(ir.name, "als_update_flat_sell");
-  EXPECT_FALSE(ir.batched_mapping);
-  bool data_dep = false;
-  for (const auto& l : ir.loops) data_dep |= l.kind == LoopIR::Kind::kDataDep;
-  EXPECT_TRUE(data_dep);
-  // The format-side remedy: the CSR segment loads become unit-stride while
-  // the factor rows stay gathered.
-  bool unit_values = false, unit_cols = false, gathered_y = false;
+TEST(AnalyzeIr, LanePartitionedOutputStoreIsUnitStride) {
+  // `for (f = lx; f < K; f += WS) X[u * K + f]`: consecutive lanes store
+  // consecutive elements, while the factor rows stay gathered.
+  const KernelIR ir =
+      lower_one(batched_kernel_source(AlsVariant::batching_only(), config()));
+  bool unit_x = false, gathered_y = false;
   for (const auto& r : ir.refs) {
-    if (!r.hot) continue;
-    if (r.buffer == "values")
-      unit_values |= r.coalescing == Coalescing::kUnitStride;
-    if (r.buffer == "col_idx")
-      unit_cols |= r.coalescing == Coalescing::kUnitStride;
-    if (r.buffer == "Y") gathered_y |= r.coalescing == Coalescing::kGathered;
+    if (r.buffer == "X" && r.is_store) {
+      unit_x |= r.coalescing == Coalescing::kUnitStride;
+    }
+    if (r.buffer == "Y" && r.hot) {
+      gathered_y |= r.coalescing == Coalescing::kGathered;
+    }
   }
-  EXPECT_TRUE(unit_values);
-  EXPECT_TRUE(unit_cols);
+  EXPECT_TRUE(unit_x);
   EXPECT_TRUE(gathered_y);
-  for (const auto& a : ir.args) EXPECT_TRUE(a.used) << a.name;
 }
 
 TEST(AnalyzeIr, NoGlobalStoresInHotLoops) {

@@ -30,9 +30,9 @@ bool is_narrow(const std::string& kernel) {
          kernel.find("_bf16") != std::string::npos;
 }
 
-// flat + 8 batched variants (cholesky + cg flavors) + SELL + the fp16/bf16
+// flat + 8 batched variants (cholesky + cg flavors) + the fp16/bf16
 // storage flavors of the cholesky variants.
-constexpr std::size_t kFlavors = 4 * AlsVariant::kVariantCount + 2;
+constexpr std::size_t kFlavors = 4 * AlsVariant::kVariantCount + 1;
 
 TEST(CertifyKernels, CheckedExecutionIsClean) {
   const KernelCertificate& cert = certificate();
@@ -43,10 +43,10 @@ TEST(CertifyKernels, CheckedExecutionIsClean) {
   }
   EXPECT_TRUE(cert.checked_clean());
   // flat + 8 variants + their 8 CG flavors + flat/cg + subspace + 4
-  // forced-tile re-runs + SELL + implicit, x3 profiles; the implicit
-  // iteration is two launches.
-  EXPECT_EQ(cert.checked.size(), 25u * 3u);
-  EXPECT_EQ(cert.checked_launches, 26u * 3u);
+  // forced-tile re-runs + implicit, x3 profiles; the implicit iteration is
+  // two launches.
+  EXPECT_EQ(cert.checked.size(), 24u * 3u);
+  EXPECT_EQ(cert.checked_launches, 25u * 3u);
   EXPECT_EQ(cert.checked_findings, 0u);
   EXPECT_TRUE(cert.clean());
 }
@@ -62,7 +62,7 @@ TEST(CheckKernels, JsonExportCarriesEntries) {
   const json::Value root = json::parse(text);
   const json::Value& checked = root.at("checked_execution");
   EXPECT_TRUE(checked.at("clean").as_bool());
-  EXPECT_EQ(checked.at("launches").as_double(), 78);
+  EXPECT_EQ(checked.at("launches").as_double(), 75);
   const auto& entries = checked.at("entries").array();
   ASSERT_EQ(entries.size(), cert.checked.size());
   EXPECT_EQ(entries.front().at("kernel").as_string(), "flat");
@@ -78,7 +78,7 @@ TEST(AnalyzeKernels, SweepIsCleanAndCoversEveryKernel) {
     SCOPED_TRACE("tile " + std::to_string(tile.tile_rows));
     EXPECT_TRUE(tile.clean());
     for (const auto& issue : tile.lint_issues) ADD_FAILURE() << issue;
-    // 8 batched x {cholesky, cg, fp16, bf16} + flat + SELL, per profile.
+    // 8 batched x {cholesky, cg, fp16, bf16} + flat, per profile.
     EXPECT_EQ(tile.static_profiles.size(), 3 * kFlavors);
     std::set<std::string> kernels;
     for (const auto& e : tile.static_profiles) {
@@ -90,7 +90,6 @@ TEST(AnalyzeKernels, SweepIsCleanAndCoversEveryKernel) {
     }
     EXPECT_EQ(kernels.size(), kFlavors);
     EXPECT_TRUE(kernels.count("als_update_flat"));
-    EXPECT_TRUE(kernels.count("als_update_flat_sell"));
     EXPECT_TRUE(kernels.count("als_update_batch_local_reg"));
   }
 }
@@ -175,8 +174,8 @@ void expect_verifier_proves_every_flavor(const TileCertificate& tile) {
     refs += r.refs_total;
     pairs += r.pairs_checked;
   }
-  EXPECT_EQ(refs, 996);
-  EXPECT_EQ(pairs, 1356);
+  EXPECT_EQ(refs, 962);
+  EXPECT_EQ(pairs, 1355);
 }
 
 TEST(Verify, AllGeneratedKernelsFullyProvenOnAllProfiles) {
@@ -225,8 +224,7 @@ TEST(VerifyJson, SchemaCarriesGoldenKeys) {
   for (const char* key :
        {"\"clean\":true", "\"errors\":[]", "\"diagnostics\":[]",
         "\"lint_issues\":[]", "\"flavors\":[",
-        "\"kernel\":\"als_update_flat\"",
-        "\"kernel\":\"als_update_flat_sell\"", "\"profile\":\"gpu\"",
+        "\"kernel\":\"als_update_flat\"", "\"profile\":\"gpu\"",
         "\"kernel\":\"flat\"", "\"bounds\":{\"refs\":", "\"proven_safe\":",
         "\"proven_violating\":0", "\"unprovable\":0", "\"findings\":[]",
         "\"races\":{\"pairs\":", "\"proven\":0", "\"widths\":[",

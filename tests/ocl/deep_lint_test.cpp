@@ -32,7 +32,6 @@ TEST(DeepLint, GeneratedKernelsAreClean) {
     EXPECT_TRUE(r.clean()) << v.name() << ":\n" << r.to_string();
   }
   EXPECT_TRUE(deep_lint_kernel_source(flat_kernel_source(c), options).clean());
-  EXPECT_TRUE(deep_lint_kernel_source(sell_kernel_source(c), options).clean());
 }
 
 TEST(DeepLint, FlagsUncoalescedStoreInHotLoop) {

@@ -21,8 +21,8 @@ namespace {
 
 // CRC-32 (robust/crc32.hpp) of each generated source at the default
 // configuration (k=10, WS=32, TILE_ROWS=256, float compute), in the pinned
-// sweep order: flat, 8 batched cholesky, 8 batched cg, SELL, then the 8
-// batched cholesky variants × {fp16, bf16} storage.
+// sweep order: flat, 8 batched cholesky, 8 batched cg, then the 8 batched
+// cholesky variants × {fp16, bf16} storage.
 //
 // Regenerating after a DELIBERATE generator change: run the test; each
 // mismatch prints the new hash in this table's format — paste it here and
@@ -46,23 +46,22 @@ const std::vector<std::pair<std::string, std::uint32_t>> kGolden = {
     {"als_update_batch_reg_vec_cg", 0x94b3a95au},
     {"als_update_batch_local_vec_cg", 0x283870f1u},
     {"als_update_batch_local_reg_vec_cg", 0x2e23c6c2u},
-    {"als_update_flat_sell", 0xfd6b2f65u},
-    {"als_update_batch_f16", 0xf4bc8155u},
-    {"als_update_batch_reg_f16", 0x0a4b0b19u},
-    {"als_update_batch_local_f16", 0xdf071a55u},
-    {"als_update_batch_local_reg_f16", 0x4f5a08c1u},
-    {"als_update_batch_vec_f16", 0x3a1966bau},
-    {"als_update_batch_reg_vec_f16", 0xf2a23872u},
-    {"als_update_batch_local_vec_f16", 0xfe016964u},
-    {"als_update_batch_local_reg_vec_f16", 0x392f0f26u},
-    {"als_update_batch_bf16", 0x61004c26u},
-    {"als_update_batch_reg_bf16", 0x177c2074u},
-    {"als_update_batch_local_bf16", 0x471e4de2u},
-    {"als_update_batch_local_reg_bf16", 0xd64a8757u},
-    {"als_update_batch_vec_bf16", 0x9130118bu},
-    {"als_update_batch_reg_vec_bf16", 0x0af87036u},
-    {"als_update_batch_local_vec_bf16", 0xc0a419d9u},
-    {"als_update_batch_local_reg_vec_bf16", 0x072fdd63u},
+    {"als_update_batch_f16", 0x44514c86u},
+    {"als_update_batch_reg_f16", 0x31c41c56u},
+    {"als_update_batch_local_f16", 0x22fa4b5au},
+    {"als_update_batch_local_reg_f16", 0x6fad23f0u},
+    {"als_update_batch_vec_f16", 0x359ca92au},
+    {"als_update_batch_reg_vec_f16", 0xef0ec997u},
+    {"als_update_batch_local_vec_f16", 0x7443438bu},
+    {"als_update_batch_local_reg_vec_f16", 0x8c4fa39eu},
+    {"als_update_batch_bf16", 0x5b4e7a6du},
+    {"als_update_batch_reg_bf16", 0xe8f04c90u},
+    {"als_update_batch_local_bf16", 0x2b0fadb3u},
+    {"als_update_batch_local_reg_bf16", 0xe08ac177u},
+    {"als_update_batch_vec_bf16", 0x81985c5au},
+    {"als_update_batch_reg_vec_bf16", 0x37e4ed81u},
+    {"als_update_batch_local_vec_bf16", 0x8b872a61u},
+    {"als_update_batch_local_reg_vec_bf16", 0x83f2589du},
 };
 
 constexpr char kRegen[] = "export_kernels --out <dir>";
@@ -70,8 +69,8 @@ constexpr char kRegen[] = "export_kernels --out <dir>";
 TEST(GoldenKernels, EveryGeneratedSourceMatchesItsPinnedHash) {
   const KernelConfig c;  // defaults = what export_kernels emits
   const std::vector<KernelFlavor> flavors = enumerate_kernel_flavors(c);
-  // flat + SELL + 8 cholesky + 8 cg + 8 fp16 + 8 bf16.
-  ASSERT_EQ(kGolden.size(), 4 * AlsVariant::kVariantCount + 2)
+  // flat + 8 cholesky + 8 cg + 8 fp16 + 8 bf16.
+  ASSERT_EQ(kGolden.size(), 4 * AlsVariant::kVariantCount + 1)
       << "a kernel flavor family was added or removed: extend kGolden";
   ASSERT_EQ(flavors.size(), kGolden.size());
   for (std::size_t i = 0; i < flavors.size(); ++i) {

@@ -16,15 +16,14 @@ namespace {
 TEST(KernelFlavors, ThirtyFourFlavorsInPinnedOrder) {
   const std::vector<KernelFlavor> flavors =
       enumerate_kernel_flavors(KernelConfig{});
-  ASSERT_EQ(flavors.size(), 4 * AlsVariant::kVariantCount + 2);
-  // Pinned sweep order: flat, 8 cholesky, 8 cg, SELL, 8 fp16, 8 bf16.
+  ASSERT_EQ(flavors.size(), 4 * AlsVariant::kVariantCount + 1);
+  // Pinned sweep order: flat, 8 cholesky, 8 cg, 8 fp16, 8 bf16.
   EXPECT_EQ(flavors[0].name, "als_update_flat");
   EXPECT_EQ(flavors[1].name, "als_update_batch");
   EXPECT_EQ(flavors[9].name, "als_update_batch_cg");
-  EXPECT_EQ(flavors[17].name, "als_update_flat_sell");
-  EXPECT_EQ(flavors[18].name, "als_update_batch_f16");
-  EXPECT_EQ(flavors[26].name, "als_update_batch_bf16");
-  EXPECT_EQ(flavors[33].name, "als_update_batch_local_reg_vec_bf16");
+  EXPECT_EQ(flavors[17].name, "als_update_batch_f16");
+  EXPECT_EQ(flavors[25].name, "als_update_batch_bf16");
+  EXPECT_EQ(flavors[32].name, "als_update_batch_local_reg_vec_bf16");
 }
 
 TEST(KernelFlavors, NamesUniqueAndPresentInSource) {
@@ -48,7 +47,7 @@ TEST(KernelFlavors, MetadataMatchesNameSuffixes) {
     if (f.storage != StoragePrecision::kFp32) {
       // Only the batched cholesky variants have narrow flavors: the CG
       // iterate's range is not certifiable against the fp16 ceiling, and
-      // flat/SELL are kept-exact comparison baselines.
+      // flat is a kept-exact comparison baseline.
       EXPECT_TRUE(f.batched) << f.name;
       EXPECT_EQ(f.row_solver, RowSolverKind::kCholesky) << f.name;
     }

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "common/error.hpp"
+#include "ocl/kernel_flavors.hpp"
 #include "ocl/kernel_lint.hpp"
 
 namespace alsmf::ocl {
@@ -112,11 +113,13 @@ TEST(KernelSource, BuildOptionsEncodeConstants) {
   EXPECT_NE(opts.find("-DWS=64"), std::string::npos);
 }
 
-TEST(KernelSource, WritesAllThirtyFourKernelFiles) {
-  // flat + SELL + 8 cholesky + 8 cg + 8 fp16-storage + 8 bf16-storage.
+TEST(KernelSource, WritesOneFilePerKernelFlavor) {
+  // flat + 8 cholesky + 8 cg + 8 fp16-storage + 8 bf16-storage = 33.
+  const int flavors =
+      static_cast<int>(enumerate_kernel_flavors(config()).size());
   const std::string dir = ::testing::TempDir() + "/alsmf_kernels";
   std::filesystem::remove_all(dir);
-  EXPECT_EQ(write_kernel_files(dir, config()), 34);
+  EXPECT_EQ(write_kernel_files(dir, config()), flavors);
   int count = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().extension(), ".cl");
@@ -126,7 +129,7 @@ TEST(KernelSource, WritesAllThirtyFourKernelFiles) {
     EXPECT_TRUE(lint_kernel_source(content, 1).clean()) << entry.path();
     ++count;
   }
-  EXPECT_EQ(count, 34);
+  EXPECT_EQ(count, flavors);
 }
 
 TEST(KernelSource, NarrowStorageTypedefAndWideAccumulation) {
@@ -153,16 +156,6 @@ TEST(KernelSource, NarrowStorageTypedefAndWideAccumulation) {
   EXPECT_NE(bf16.find("typedef bfloat16 storage_t"), std::string::npos);
   // bf16 needs no fp16 extension.
   EXPECT_EQ(bf16.find("cl_khr_fp16"), std::string::npos);
-}
-
-TEST(KernelSource, SellKernelLintCleanAndUnitStride) {
-  const std::string src = sell_kernel_source(config());
-  EXPECT_TRUE(lint_kernel_source(src, 1).clean());
-  EXPECT_NE(src.find("__kernel void als_update_flat_sell("),
-            std::string::npos);
-  // The format-side remedy: segment loads are lane-contiguous.
-  EXPECT_NE(src.find("base + z * WS + lane"), std::string::npos);
-  EXPECT_NE(src.find("slice_ptr"), std::string::npos);
 }
 
 TEST(KernelSource, FlatRejectsBatchedGenerator) {

@@ -51,7 +51,6 @@ inline std::string base_source(const KernelMutation& m,
       return ocl::batched_kernel_source(v, config);
     }
   }
-  if (m.kernel == "als_update_flat_sell") return ocl::sell_kernel_source(config);
   throw std::runtime_error("mutation '" + m.name + "': unknown kernel '" +
                            m.kernel + "'");
 }
