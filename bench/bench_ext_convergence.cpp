@@ -1,12 +1,13 @@
 // Extension: convergence comparison of the three solver families the
-// paper's related work discusses — ALS (ours), Hogwild-SGD, and CCD++ —
-// on a MovieLens-shaped replica (functional execution, host wall-clock).
+// paper's related work discusses — ALS (ours), thread-batched SGD
+// (DeviceSgd on a modeled K20c), and CCD++ — on a MovieLens-shaped replica
+// (functional execution, host wall-clock).
 #include <cstdio>
 
 #include "als/metrics.hpp"
 #include "als/reference.hpp"
 #include "baselines/ccd.hpp"
-#include "baselines/sgd.hpp"
+#include "baselines/sgd_device.hpp"
 #include "bench_util.hpp"
 #include "common/timer.hpp"
 #include "sparse/convert.hpp"
@@ -47,11 +48,17 @@ int main(int argc, char** argv) {
   }
   const double als_s = als_timer.seconds();
 
-  SgdOptions sgd_opts;
+  DeviceSgdOptions sgd_opts;
   sgd_opts.k = k;
   sgd_opts.epochs = rounds;
+  devsim::Device sgd_device(devsim::k20c());
+  DeviceSgd sgd(train_coo, sgd_opts, sgd_device);
+  std::vector<double> sgd_rmse;
   Timer sgd_timer;
-  const SgdResult sgd = sgd_train(train_coo, sgd_opts);
+  for (int e = 0; e < sgd_opts.epochs; ++e) {
+    sgd.run_epoch();
+    sgd_rmse.push_back(sgd.train_rmse());
+  }
   const double sgd_s = sgd_timer.seconds();
 
   CcdOptions ccd_opts;
@@ -65,7 +72,7 @@ int main(int argc, char** argv) {
               "SGD", "CCD++");
   for (int it = 0; it < rounds; ++it) {
     std::printf("%-8d %12.4f %12.4f %12.4f\n", it + 1, als_rmse[static_cast<std::size_t>(it)],
-                sgd.epoch_rmse[static_cast<std::size_t>(it)],
+                sgd_rmse[static_cast<std::size_t>(it)],
                 ccd.iter_rmse[static_cast<std::size_t>(it)]);
   }
   std::printf("\nhost wall seconds: ALS %.3f | SGD %.3f | CCD++ %.3f\n", als_s,

@@ -58,10 +58,12 @@
 //                       is clean — see docs/kernel-checking.md)
 //
 // Ratings files use the paper's `<userID, itemID, rating>` text format.
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include <cstdlib>
 
@@ -98,6 +100,19 @@ devsim::DeviceProfile resolve_profile(const CliArgs& args) {
     return devsim::read_profile_file(*path);
   }
   return devsim::profile_by_name(args.get_or("device", "cpu"));
+}
+
+// All of `text` as a non-negative decimal integer. Empty, signed, partly
+// numeric or out-of-range text throws Error naming --flag and its raw value.
+std::uint64_t parse_unsigned(std::string_view text, const std::string& flag,
+                             const std::string& raw, const char* expects) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || stop != end) {
+    throw Error("--" + flag + " expects " + expects + ", got '" + raw + "'");
+  }
+  return value;
 }
 
 // A --variant mask "0".."7" (AlsVariant::from_mask); empty on anything else.
@@ -260,10 +275,11 @@ int cmd_train_multi(const CliArgs& args) {
       args.get_double("deadline-factor", elastic.straggler_deadline_factor);
 
   // Fault plan: seeded probabilities plus exact kills. --fail-at takes
-  // STEP or DEV:STEP (0-based shard-launch index of that device).
+  // STEP or DEV:STEP (0-based shard-launch index of device DEV, default 0).
   robust::FaultPlan plan;
   if (auto seed = args.get("seed")) {
-    plan.seed = std::strtoull(seed->c_str(), nullptr, 10);
+    plan.seed = parse_unsigned(*seed, "seed", *seed,
+                               "a non-negative integer");
   } else if (const char* env = std::getenv("ALSMF_FAULT_SEED")) {
     plan.seed = std::strtoull(env, nullptr, 10);
   } else {
@@ -276,13 +292,21 @@ int cmd_train_multi(const CliArgs& args) {
   plan.probability[static_cast<int>(robust::FaultSite::kDeviceFailure)] =
       args.get_double("device-fail-prob", 0.0);
   if (auto fail_at = args.get("fail-at")) {
-    std::uint64_t dev = 0, step = 0;
-    const auto colon = fail_at->find(':');
-    if (colon == std::string::npos) {
-      step = std::strtoull(fail_at->c_str(), nullptr, 10);
-    } else {
-      dev = std::strtoull(fail_at->substr(0, colon).c_str(), nullptr, 10);
-      step = std::strtoull(fail_at->substr(colon + 1).c_str(), nullptr, 10);
+    const char* expects = "STEP or DEV:STEP (non-negative integers)";
+    const std::string_view text = *fail_at;
+    const auto colon = text.find(':');
+    std::uint64_t dev = 0;
+    if (colon != std::string_view::npos) {
+      dev = parse_unsigned(text.substr(0, colon), "fail-at", *fail_at,
+                           expects);
+    }
+    const std::uint64_t step = parse_unsigned(
+        colon == std::string_view::npos ? text : text.substr(colon + 1),
+        "fail-at", *fail_at, expects);
+    if (dev >= profiles.size()) {
+      throw Error("--fail-at device " + std::to_string(dev) +
+                  " is not one of the " + std::to_string(profiles.size()) +
+                  " devices, got '" + *fail_at + "'");
     }
     plan.exact[static_cast<int>(robust::FaultSite::kDeviceFailure)].push_back(
         robust::fault_key(dev, step));

@@ -1,5 +1,6 @@
-// Solver-family comparison: ALS vs Hogwild-SGD vs CCD++ convergence on the
-// same data (the three techniques of the paper's related-work section).
+// Solver-family comparison: ALS vs thread-batched SGD (DeviceSgd on a
+// modeled K20c) vs CCD++ convergence on the same data (the three techniques
+// of the paper's related-work section).
 //
 //   ./solver_comparison [--users 3000] [--items 2000] [--nnz 90000]
 #include <cstdio>
@@ -7,7 +8,7 @@
 #include "als/metrics.hpp"
 #include "als/reference.hpp"
 #include "baselines/ccd.hpp"
-#include "baselines/sgd.hpp"
+#include "baselines/sgd_device.hpp"
 #include "common/cli.hpp"
 #include "common/timer.hpp"
 #include "data/synthetic.hpp"
@@ -46,11 +47,17 @@ int main(int argc, char** argv) {
   }
   const double als_time = als_timer.seconds();
 
-  SgdOptions sgd_opts;
+  DeviceSgdOptions sgd_opts;
   sgd_opts.k = k;
   sgd_opts.epochs = rounds;
+  devsim::Device sgd_device(devsim::k20c());
+  DeviceSgd sgd(coo, sgd_opts, sgd_device);
+  std::vector<double> sgd_rmse;
   Timer sgd_timer;
-  const SgdResult sgd = sgd_train(coo, sgd_opts);
+  for (int e = 0; e < sgd_opts.epochs; ++e) {
+    sgd.run_epoch();
+    sgd_rmse.push_back(sgd.train_rmse());
+  }
   const double sgd_time = sgd_timer.seconds();
 
   CcdOptions ccd_opts;
@@ -62,7 +69,7 @@ int main(int argc, char** argv) {
 
   for (int it = 0; it < rounds; ++it) {
     std::printf("%-8d %-12.4f %-12.4f %-12.4f\n", it + 1, als_rmse[it],
-                sgd.epoch_rmse[it], ccd.iter_rmse[it]);
+                sgd_rmse[it], ccd.iter_rmse[it]);
   }
   std::printf("\nwall time [s]: ALS %.3f | SGD %.3f | CCD++ %.3f\n", als_time,
               sgd_time, ccd_time);

@@ -13,6 +13,16 @@
 
 namespace alsmf {
 
+namespace {
+
+/// Interconnect transfer retries before the link (and its device) is
+/// declared lost.
+constexpr int kTransferMaxRetries = 3;
+/// Modeled backoff before retry r: kTransferBackoffSeconds * 2^r.
+constexpr double kTransferBackoffSeconds = 2e-4;
+
+}  // namespace
+
 std::vector<std::pair<index_t, index_t>> balance_by_nnz(const Csr& csr,
                                                         std::size_t parts) {
   std::vector<std::pair<index_t, index_t>> ranges;
@@ -169,8 +179,7 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
                                                           Matrix& dst,
                                                           const char* name) {
   ShardOutcome out;
-  devsim::LaunchFault fault;
-  if (elastic_.enabled) fault = fault_model_.on_launch(shard.device);
+  const devsim::LaunchFault fault = fault_model_.on_launch(shard.device);
   if (fault.device_lost) {
     out.lost = true;
     return out;
@@ -211,9 +220,7 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
       break;
     } catch (const std::exception&) {
       // Transient launch fault (robust::FaultSite::kKernelLaunch): retry per
-      // the guard budget; exhausting it counts as losing the device. The
-      // non-elastic coordinator keeps the old contract and propagates.
-      if (!elastic_.enabled) throw;
+      // the guard budget; exhausting it counts as losing the device.
       if (attempt >= options_.guard_kernel_retries) {
         out.lost = true;
         return out;
@@ -302,8 +309,7 @@ double MultiDeviceAls::run_elastic(std::vector<Shard> work, const Matrix& src,
     for (std::size_t i = 0; i < work.size(); ++i) {
       if (outcomes[i].lost) continue;
       double effective = outcomes[i].seconds;
-      if (elastic_.enabled && completed.size() >= 2 && deadline > 0 &&
-          effective > deadline) {
+      if (completed.size() >= 2 && deadline > 0 && effective > deadline) {
         ++report_.stragglers_detected;
         ++health_[work[i].device].stragglers;
         // Fastest healthy helper by its last observed shard time.
@@ -406,20 +412,17 @@ double MultiDeviceAls::all_gather(Axis axis, const Matrix& src, Matrix& dst,
         bytes / (devices_[d]->profile().pcie_bw_gbs * 1e9);
     double t = 0;
     bool ok = false;
-    for (int attempt = 0; attempt <= elastic_.transfer_max_retries;
-         ++attempt) {
-      const bool faulted =
-          elastic_.enabled && fault_model_.on_transfer_attempt(d);
-      if (!faulted) {
+    for (int attempt = 0; attempt <= kTransferMaxRetries; ++attempt) {
+      if (!fault_model_.on_transfer_attempt(d)) {
         t += xfer;
         ok = true;
         break;
       }
       t += xfer;  // the faulted attempt still occupies the link
-      if (attempt < elastic_.transfer_max_retries) {
+      if (attempt < kTransferMaxRetries) {
         ++report_.transfer_retries;
         ++health_[d].transfer_retries;
-        t += elastic_.transfer_backoff_s * std::pow(2.0, attempt);
+        t += kTransferBackoffSeconds * std::pow(2.0, attempt);
       }
     }
     if (!ok) failed.push_back(d);

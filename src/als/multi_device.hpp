@@ -63,21 +63,17 @@ namespace alsmf {
 std::vector<std::pair<index_t, index_t>> balance_by_nnz(const Csr& csr,
                                                         std::size_t parts);
 
-/// Elastic-coordinator knobs. Defaults keep zero-fault runs indistinguishable
-/// from the synchronous trainer (factors bitwise-identical; straggler
-/// speculation can only fire when a shard exceeds the median-based deadline).
+/// Elastic-coordinator knobs. The coordinator always consults the fault
+/// model; zero-fault runs stay indistinguishable from the synchronous
+/// trainer (factors bitwise-identical; straggler speculation can only fire
+/// when a shard exceeds the median-based deadline). A faulted interconnect
+/// transfer is retried up to kTransferMaxRetries (3) times with a modeled
+/// backoff of kTransferBackoffSeconds (2e-4 s) * 2^retry before the link
+/// and its device are declared lost (multi_device.cpp).
 struct ElasticOptions {
-  /// Master switch: false restores the fault-oblivious synchronous
-  /// coordinator (no health checks, no fault-model queries).
-  bool enabled = true;
   /// Half-step deadline = median completed-shard seconds x this factor; a
   /// healthy shard past the deadline counts as a straggler.
   double straggler_deadline_factor = 3.0;
-  /// Interconnect transfer retries before the link (and its device) is
-  /// declared lost.
-  int transfer_max_retries = 3;
-  /// Modeled backoff before retry r: transfer_backoff_s * 2^r.
-  double transfer_backoff_s = 2e-4;
   devsim::FaultModelOptions faults;
 };
 

@@ -173,9 +173,10 @@ void validate(const AlsOptions& options) {
     throw Error("invalid anderson_m = " + std::to_string(options.anderson_m) +
                 "; expected 0 (mixing off) or a positive history window");
   }
-  if (options.guard_max_attempts < 0 || options.guard_kernel_retries < 0) {
-    throw Error("invalid guard retry knobs; attempts and retries must be "
-                ">= 0");
+  if (options.guard_kernel_retries < 0) {
+    throw Error("invalid guard_kernel_retries = " +
+                std::to_string(options.guard_kernel_retries) +
+                "; expected >= 0");
   }
 }
 

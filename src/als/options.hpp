@@ -130,13 +130,10 @@ struct AlsOptions : FactorOptionsBase {
   /// (cost-model sweeps).
   bool functional = true;
 
-  // Robustness knobs. None of these change the training trajectory when no
-  // fault fires, so they are excluded from the checkpoint trajectory hash.
-  /// Sweep each freshly updated factor block for NaN/Inf and repair bad
-  /// rows by re-solving with escalating regularization.
-  bool guard_updates = true;
-  real guard_lambda_escalation = 10.0f;  ///< λ multiplier per repair retry
-  int guard_max_attempts = 3;            ///< repair retries before zeroing
+  // Robustness knob. It does not change the training trajectory when no
+  // fault fires, so it is excluded from the checkpoint trajectory hash.
+  // Every functional half-update is also swept for NaN/Inf rows, which are
+  // repaired with robust::GuardOptions' defaults (robust/guards.hpp).
   /// Times a failed kernel launch is retried before the error propagates.
   int guard_kernel_retries = 1;
 

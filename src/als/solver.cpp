@@ -86,10 +86,7 @@ void AlsSolver::launch_with_retry(const char* name, const UpdateArgs& args) {
 }
 
 void AlsSolver::guard_factor(Matrix& dst, const Csr& r, const Matrix& src) {
-  if (!options_.guard_updates || !options_.functional) return;
-  robust::GuardOptions gopt;
-  gopt.lambda_escalation = options_.guard_lambda_escalation;
-  gopt.max_attempts = options_.guard_max_attempts;
+  if (!options_.functional) return;
   const int k = options_.k;
   const auto kk = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
   std::vector<real> smat(kk), smat_saved(kk), rhs_saved(static_cast<std::size_t>(k));
@@ -113,7 +110,7 @@ void AlsSolver::guard_factor(Matrix& dst, const Csr& r, const Matrix& src) {
     std::copy(rhs_saved.begin(), rhs_saved.end(), out);
     return lu_solve(smat.data(), k, out);
   };
-  robust::guard_rows(dst, resolve, gopt, report_);
+  robust::guard_rows(dst, resolve, robust::GuardOptions{}, report_);
 }
 
 void AlsSolver::quantize_factor(Matrix& m) {

@@ -1,13 +1,42 @@
 #include "baselines/sgd_device.hpp"
 
+#include <atomic>
 #include <cmath>
 
 #include "als/metrics.hpp"
-#include "baselines/sgd.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace alsmf {
+
+namespace {
+
+/// One Hogwild SGD step on rating `t`: every coordinate of x's row t.row
+/// and y's row t.col is read and updated atomically (relaxed), the model of
+/// Recht et al. Reads may be stale, but no update is lost; two threads
+/// running `+=` on one coordinate drop one of the two updates, and on small,
+/// hot factor matrices enough of them are dropped to slow convergence well
+/// behind the sequential order.
+void hogwild_step(const Triplet& t, Matrix& x, Matrix& y, int k, real lr,
+                  real lambda) {
+  using Coord = std::atomic_ref<real>;
+  constexpr auto relaxed = std::memory_order_relaxed;
+  real* xu = x.row(t.row).data();
+  real* yi = y.row(t.col).data();
+  real dot = 0;
+  for (int f = 0; f < k; ++f) {
+    dot += Coord(xu[f]).load(relaxed) * Coord(yi[f]).load(relaxed);
+  }
+  const real err = t.value - dot;
+  for (int f = 0; f < k; ++f) {
+    const real xf = Coord(xu[f]).load(relaxed);
+    const real yf = Coord(yi[f]).load(relaxed);
+    Coord(xu[f]).fetch_add(lr * (err * yf - lambda * xf), relaxed);
+    Coord(yi[f]).fetch_add(lr * (err * xf - lambda * yf), relaxed);
+  }
+}
+
+}  // namespace
 
 DeviceSgd::DeviceSgd(const Coo& train, const DeviceSgdOptions& options,
                      devsim::Device& device)

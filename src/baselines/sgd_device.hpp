@@ -4,8 +4,9 @@
 // disjoint strided slices of the rating stream; within a group the k
 // factor dimensions are mapped across lanes (the same thread batching as
 // the ALS kernels). Groups share factor rows Hogwild style: every update
-// goes through sgd_train's atomic hogwild_step, so reads may be stale but
-// no update is lost.
+// is an atomic per-coordinate step, so reads may be stale but no update is
+// lost. With num_groups = 1 one group runs every rating in a fixed order,
+// so the run is deterministic on any pool size.
 #pragma once
 
 #include <cstdint>

@@ -50,7 +50,6 @@ std::vector<index_t> nonfinite_rows(const Matrix& factor) {
 
 std::size_t guard_rows(Matrix& factor, const RowResolver& resolve,
                        const GuardOptions& options, RobustnessReport& report) {
-  if (!options.enabled) return 0;
   ++report.guard_sweeps;
   const auto bad = nonfinite_rows(factor);
   if (bad.empty()) return 0;

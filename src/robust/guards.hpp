@@ -18,7 +18,6 @@
 namespace alsmf::robust {
 
 struct GuardOptions {
-  bool enabled = true;
   /// Regularization multiplier per retry: attempt n (0-based) re-solves
   /// with lambda scaled by escalation^n — the first attempt repeats the
   /// solve at the original damping, recovering transient failures exactly.

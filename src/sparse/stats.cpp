@@ -62,38 +62,4 @@ SliceStats row_stats(const Csr& csr) { return stats_from_lengths(row_lengths(csr
 
 SliceStats col_stats(const Csr& csr) { return stats_from_lengths(col_lengths(csr)); }
 
-double warp_divergence_factor(const std::vector<nnz_t>& lengths, int warp) {
-  if (lengths.empty() || warp <= 0) return 1.0;
-  long double serial = 0.0L;  // sum over warps of warp-max length
-  long double useful = 0.0L;  // sum of lengths
-  for (std::size_t base = 0; base < lengths.size();
-       base += static_cast<std::size_t>(warp)) {
-    nnz_t mx = 0;
-    const std::size_t end = std::min(lengths.size(), base + static_cast<std::size_t>(warp));
-    for (std::size_t i = base; i < end; ++i) {
-      mx = std::max(mx, lengths[i]);
-      useful += static_cast<long double>(lengths[i]);
-    }
-    // Every lane of the warp (even idle trailing lanes) steps mx times.
-    serial += static_cast<long double>(mx) * static_cast<long double>(warp);
-  }
-  if (useful <= 0.0L) return 1.0;
-  return static_cast<double>(serial / useful);
-}
-
-std::vector<nnz_t> log2_histogram(const std::vector<nnz_t>& lengths) {
-  std::vector<nnz_t> hist;
-  for (auto l : lengths) {
-    std::size_t b = 0;
-    nnz_t v = l;
-    while (v > 1) {
-      v >>= 1;
-      ++b;
-    }
-    if (hist.size() <= b) hist.resize(b + 1, 0);
-    ++hist[b];
-  }
-  return hist;
-}
-
 }  // namespace alsmf

@@ -1,6 +1,7 @@
-// Row/column length statistics of the rating matrix. These drive both the
-// paper's motivation (uneven row lengths => warp divergence) and the
-// feature-based code-variant selector.
+// Row/column length statistics of the rating matrix: the skew behind the
+// paper's motivation (uneven row lengths => warp divergence), as printed by
+// the dataset table and the examples. The code-variant selector computes
+// its own features (variant_select.cpp) and does not read these.
 #pragma once
 
 #include <vector>
@@ -31,18 +32,8 @@ SliceStats row_stats(const Csr& csr);
 /// Statistics over columns of a CSR matrix (via column counting).
 SliceStats col_stats(const Csr& csr);
 
-/// Expected serialization factor when consecutive slices are assigned to
-/// lanes of `warp` threads: sum over warps of max(len) divided by sum of
-/// len. 1.0 means divergence-free; larger means wasted lanes. This is the
-/// quantity the paper's thread-batching removes.
-double warp_divergence_factor(const std::vector<nnz_t>& lengths, int warp);
-
 /// Slice lengths helper.
 std::vector<nnz_t> row_lengths(const Csr& csr);
 std::vector<nnz_t> col_lengths(const Csr& csr);
-
-/// Histogram of slice lengths with log2 bucket boundaries; bucket b counts
-/// slices with length in [2^b, 2^(b+1)).
-std::vector<nnz_t> log2_histogram(const std::vector<nnz_t>& lengths);
 
 }  // namespace alsmf

@@ -68,18 +68,6 @@ TEST(ElasticMultiDevice, ZeroFaultBitwiseIdenticalToReference) {
   EXPECT_GT(report.heartbeats, 0u);
 }
 
-TEST(ElasticMultiDevice, DisabledElasticStillMatchesReference) {
-  const Csr train = testing::random_csr(50, 30, 0.2, 202);
-  const auto ref = reference_als(train, opts());
-  ElasticOptions elastic;
-  elastic.enabled = false;
-  MultiDeviceAls solver(train, opts(), AlsVariant::batching_only(), gpus(3),
-                        elastic);
-  solver.run();
-  EXPECT_EQ(solver.x(), ref.x);
-  EXPECT_EQ(solver.y(), ref.y);
-}
-
 TEST(ElasticMultiDevice, DeviceLossRepartitionsAndMatchesReference) {
   const Csr train = testing::random_csr(80, 50, 0.12, 203);
   const auto ref = reference_als(train, opts());

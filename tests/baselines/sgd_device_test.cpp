@@ -22,6 +22,9 @@ TEST(DeviceSgd, RmseDecreases) {
   const Coo train = testing::random_coo(150, 120, 0.06, 100);
   devsim::Device device(devsim::k20c());
   DeviceSgd sgd(train, opts(), device);
+  EXPECT_EQ(sgd.x().rows(), 150);
+  EXPECT_EQ(sgd.y().rows(), 120);
+  EXPECT_EQ(sgd.x().cols(), 6);
   const double before = sgd.train_rmse();
   sgd.run();
   EXPECT_LT(sgd.train_rmse(), before);
@@ -42,6 +45,38 @@ TEST(DeviceSgd, FitsPlantedData) {
   DeviceSgd sgd(train, o, device);
   sgd.run();
   EXPECT_LT(sgd.train_rmse(), 0.45);
+}
+
+TEST(DeviceSgd, OneGroupIsDeterministic) {
+  // One group runs every rating in a fixed order, whatever the pool size.
+  const Coo train = testing::random_coo(50, 50, 0.1, 41);
+  DeviceSgdOptions o = opts();
+  o.num_groups = 1;
+  devsim::Device device_a(devsim::k20c());
+  DeviceSgd a(train, o, device_a);
+  a.run();
+  devsim::Device device_b(devsim::k20c());
+  DeviceSgd b(train, o, device_b);
+  b.run();
+  EXPECT_EQ(a.x(), b.x());
+  EXPECT_EQ(a.y(), b.y());
+}
+
+TEST(DeviceSgd, ManyGroupsConvergeLikeOneGroup) {
+  const Coo train = testing::random_coo(150, 100, 0.08, 42);
+  DeviceSgdOptions o = opts();
+  o.epochs = 10;
+  o.seed = 3;
+  o.num_groups = 1;
+  devsim::Device device_one(devsim::k20c());
+  DeviceSgd one(train, o, device_one);
+  one.run();
+  o.num_groups = 64;
+  devsim::Device device_many(devsim::k20c());
+  DeviceSgd many(train, o, device_many);
+  many.run();
+  // Concurrent groups perturb the trajectory but not the outcome quality.
+  EXPECT_NEAR(one.train_rmse(), many.train_rmse(), 0.15);
 }
 
 TEST(DeviceSgd, ModeledTimeAccumulatesPerEpoch) {

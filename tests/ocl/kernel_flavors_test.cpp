@@ -13,7 +13,7 @@
 namespace alsmf::ocl {
 namespace {
 
-TEST(KernelFlavors, ThirtyFourFlavorsInPinnedOrder) {
+TEST(KernelFlavors, FlavorsInPinnedOrder) {
   const std::vector<KernelFlavor> flavors =
       enumerate_kernel_flavors(KernelConfig{});
   ASSERT_EQ(flavors.size(), 4 * AlsVariant::kVariantCount + 1);

@@ -13,7 +13,7 @@
 namespace alsmf {
 namespace {
 
-TEST(Verify, ContractSelectionFollowsStorageFormat) {
+TEST(Verify, FlatKernelGetsCsrRowPtrContract) {
   namespace az = ocl::analyze;
   const ocl::KernelConfig kc;
   {

@@ -185,7 +185,6 @@ TEST(Checkpoint, TrajectoryHashCoversTrajectoryOnly) {
   groups.num_groups = 256;
   EXPECT_EQ(trajectory_hash(groups, train), h);
   AlsOptions guards = base;
-  guards.guard_max_attempts = 9;
   guards.guard_kernel_retries = 0;
   EXPECT_EQ(trajectory_hash(guards, train), h);
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -105,19 +104,6 @@ TEST(Guards, ResolverReturningNonfiniteStillCountsAsFailure) {
       GuardOptions{}, report);
   EXPECT_EQ(report.zeroed_rows, 1u);
   EXPECT_TRUE(nonfinite_rows(m).empty());
-}
-
-TEST(Guards, DisabledGuardIsNoOp) {
-  Matrix m(2, 2);
-  m(1, 0) = kNaN;
-  RobustnessReport report;
-  GuardOptions options;
-  options.enabled = false;
-  const auto touched = guard_rows(
-      m, [](index_t, real, real*) { return true; }, options, report);
-  EXPECT_EQ(touched, 0u);
-  EXPECT_EQ(report.guard_sweeps, 0u);
-  EXPECT_TRUE(std::isnan(m(1, 0)));
 }
 
 TEST(Guards, ReportMergeAndJson) {

@@ -58,48 +58,6 @@ TEST(Stats, SkewedMatrixHasPositiveGini) {
   EXPECT_EQ(s.empty_slices, 8);
 }
 
-TEST(Stats, DivergenceFactorUniformIsOne) {
-  std::vector<nnz_t> lengths(64, 10);
-  EXPECT_DOUBLE_EQ(warp_divergence_factor(lengths, 32), 1.0);
-}
-
-TEST(Stats, DivergenceFactorGrowsWithSkew) {
-  std::vector<nnz_t> uniform(32, 10);
-  std::vector<nnz_t> skewed(32, 1);
-  skewed[0] = 320 - 31;  // same total
-  const double du = warp_divergence_factor(uniform, 32);
-  const double ds = warp_divergence_factor(skewed, 32);
-  EXPECT_GT(ds, du * 10);
-}
-
-TEST(Stats, DivergenceFactorAtLeastOne) {
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    const auto lengths = row_lengths(testing::random_csr(100, 50, 0.1, seed));
-    EXPECT_GE(warp_divergence_factor(lengths, 32), 1.0);
-    EXPECT_GE(warp_divergence_factor(lengths, 8), 1.0);
-  }
-}
-
-TEST(Stats, DivergenceSmallerWarpNoWorse) {
-  // With warp = 1 there is no divergence at all.
-  const auto lengths = row_lengths(testing::random_csr(100, 50, 0.1, 5));
-  EXPECT_DOUBLE_EQ(warp_divergence_factor(lengths, 1), 1.0);
-}
-
-TEST(Stats, DivergenceEmptyInput) {
-  EXPECT_DOUBLE_EQ(warp_divergence_factor({}, 32), 1.0);
-}
-
-TEST(Stats, Log2Histogram) {
-  const auto hist = log2_histogram({1, 1, 2, 3, 4, 7, 8});
-  // bucket 0: len 1 (x2); bucket 1: 2,3; bucket 2: 4,7; bucket 3: 8.
-  ASSERT_EQ(hist.size(), 4u);
-  EXPECT_EQ(hist[0], 2);
-  EXPECT_EQ(hist[1], 2);
-  EXPECT_EQ(hist[2], 2);
-  EXPECT_EQ(hist[3], 1);
-}
-
 TEST(Stats, RowAndColLengthsSumToNnz) {
   const Csr csr = testing::random_csr(40, 25, 0.2, 11);
   nnz_t row_sum = 0, col_sum = 0;
