@@ -77,7 +77,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nhost wall seconds: ALS %.3f | SGD %.3f | CCD++ %.3f\n", als_s,
               sgd_s, ccd_s);
-  std::printf("Expected shape: ALS reaches low RMSE in the fewest rounds\n"
-              "(each round solves exactly); SGD/CCD++ approach it gradually.\n");
   return 0;
 }

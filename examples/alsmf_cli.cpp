@@ -103,14 +103,15 @@ devsim::DeviceProfile resolve_profile(const CliArgs& args) {
 }
 
 // All of `text` as a non-negative decimal integer. Empty, signed, partly
-// numeric or out-of-range text throws Error naming --flag and its raw value.
-std::uint64_t parse_unsigned(std::string_view text, const std::string& flag,
+// numeric or out-of-range text throws Error naming the source (a --flag or
+// an environment variable) and its raw value.
+std::uint64_t parse_unsigned(std::string_view text, const std::string& source,
                              const std::string& raw, const char* expects) {
   std::uint64_t value = 0;
   const char* end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc{} || stop != end) {
-    throw Error("--" + flag + " expects " + expects + ", got '" + raw + "'");
+    throw Error(source + " expects " + expects + ", got '" + raw + "'");
   }
   return value;
 }
@@ -164,67 +165,53 @@ int cmd_train(const CliArgs& args) {
     variant = tuned.variant;
   }
 
+  // Checkpointed/resumable runs and runs with observability sinks attached
+  // go through the same run(RunConfig) as a plain run.
   const auto ckpt_dir = args.get("checkpoint-dir");
   const auto metrics_out = args.get("metrics-out");
   const auto events_out = args.get("events-out");
   const auto trace_out = args.get("trace-out");
-
-  Recommender rec;
-  TrainReport report;
-  if (ckpt_dir || metrics_out || events_out || trace_out) {
-    // Drive the solver directly: checkpointed/resumable runs and runs with
-    // observability sinks attached go through the unified run(RunConfig).
-    RunConfig run_config;
-    if (ckpt_dir) {
-      CheckpointConfig config;
-      config.dir = *ckpt_dir;
-      config.every = static_cast<int>(args.get_long("checkpoint-every", 1));
-      run_config.checkpoint = config;
-      run_config.resume = true;
-    }
-    obs::EventStream events;
-    devsim::TraceRecorder trace;
-    if (events_out) run_config.events = &events;
-    if (trace_out) run_config.trace = &trace;
-    if (metrics_out) run_config.metrics = &obs::Registry::global();
-    Timer wall;
-    devsim::Device device(profile);
-    AlsSolver solver(train, options, variant, device);
-    const RunReport run_report = solver.run(run_config);
-    if (run_report.resumed_from >= 0) {
-      std::cout << "resumed from checkpoint at iteration "
-                << run_report.resumed_from << "\n";
-    }
-    report.modeled_seconds = run_report.modeled_seconds;
-    report.wall_seconds = wall.seconds();
-    report.train_rmse = solver.train_rmse();
-    report.variant = variant;
-    report.device = profile.name;
-    rec = Recommender::from_factors(solver.x(), solver.y());
-    std::cout << "robustness: " << solver.robustness_report().to_json() << "\n";
-    if (metrics_out) {
-      std::ofstream out(*metrics_out);
-      out << obs::Registry::global().prometheus_text();
-      std::cout << "metrics: " << *metrics_out << "\n";
-    }
-    if (events_out) {
-      events.write_file(*events_out);
-      std::cout << "events: " << *events_out << " (" << events.size()
-                << " records)\n";
-    }
-    if (trace_out) {
-      trace.write_chrome_trace_file(*trace_out);
-      std::cout << "trace: " << *trace_out << "\n";
-    }
-  } else {
-    report = rec.train(train, options, profile, variant);
+  RunConfig run_config;
+  if (ckpt_dir) {
+    CheckpointConfig config;
+    config.dir = *ckpt_dir;
+    config.every = static_cast<int>(args.get_long("checkpoint-every", 1));
+    run_config.checkpoint = config;
+    run_config.resume = true;
   }
-  rec.save_file(*model_path);
+  obs::EventStream events;
+  devsim::TraceRecorder trace;
+  if (events_out) run_config.events = &events;
+  if (trace_out) run_config.trace = &trace;
+  if (metrics_out) run_config.metrics = &obs::Registry::global();
+  devsim::Device device(profile);
+  AlsSolver solver(train, options, variant, device);
+  const RunReport run_report = solver.run(run_config);
+  if (run_report.resumed_from >= 0) {
+    std::cout << "resumed from checkpoint at iteration "
+              << run_report.resumed_from << "\n";
+  }
+  std::cout << "robustness: " << solver.robustness_report().to_json() << "\n";
+  if (metrics_out) {
+    std::ofstream out(*metrics_out);
+    out << obs::Registry::global().prometheus_text();
+    std::cout << "metrics: " << *metrics_out << "\n";
+  }
+  if (events_out) {
+    events.write_file(*events_out);
+    std::cout << "events: " << *events_out << " (" << events.size()
+              << " records)\n";
+  }
+  if (trace_out) {
+    trace.write_chrome_trace_file(*trace_out);
+    std::cout << "trace: " << *trace_out << "\n";
+  }
+  Recommender::from_factors(solver.x(), solver.y()).save_file(*model_path);
   std::cout << "trained " << train.rows() << "x" << train.cols() << " ("
-            << train.nnz() << " ratings) on " << report.device
-            << "\n  variant: " << report.variant.name()
-            << "\n  modeled device seconds: " << report.modeled_seconds
-            << "\n  train RMSE: " << report.train_rmse << "\n  model: "
+            << train.nnz() << " ratings) on " << profile.name
+            << "\n  variant: " << variant.name()
+            << "\n  modeled device seconds: " << run_report.modeled_seconds
+            << "\n  train RMSE: " << solver.train_rmse() << "\n  model: "
             << *model_path << "\n";
   return 0;
 }
@@ -278,10 +265,11 @@ int cmd_train_multi(const CliArgs& args) {
   // STEP or DEV:STEP (0-based shard-launch index of device DEV, default 0).
   robust::FaultPlan plan;
   if (auto seed = args.get("seed")) {
-    plan.seed = parse_unsigned(*seed, "seed", *seed,
+    plan.seed = parse_unsigned(*seed, "--seed", *seed,
                                "a non-negative integer");
   } else if (const char* env = std::getenv("ALSMF_FAULT_SEED")) {
-    plan.seed = std::strtoull(env, nullptr, 10);
+    plan.seed = parse_unsigned(env, "ALSMF_FAULT_SEED", env,
+                               "a non-negative integer");
   } else {
     plan.seed = 42;
   }
@@ -297,12 +285,12 @@ int cmd_train_multi(const CliArgs& args) {
     const auto colon = text.find(':');
     std::uint64_t dev = 0;
     if (colon != std::string_view::npos) {
-      dev = parse_unsigned(text.substr(0, colon), "fail-at", *fail_at,
+      dev = parse_unsigned(text.substr(0, colon), "--fail-at", *fail_at,
                            expects);
     }
     const std::uint64_t step = parse_unsigned(
         colon == std::string_view::npos ? text : text.substr(colon + 1),
-        "fail-at", *fail_at, expects);
+        "--fail-at", *fail_at, expects);
     if (dev >= profiles.size()) {
       throw Error("--fail-at device " + std::to_string(dev) +
                   " is not one of the " + std::to_string(profiles.size()) +

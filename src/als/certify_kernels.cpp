@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "als/implicit_device.hpp"
+#include "als/implicit.hpp"
 #include "als/kernels.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"

@@ -1,43 +1,15 @@
 #include "als/implicit.hpp"
 
+#include <string>
 #include <vector>
 
+#include "als/kernels.hpp"
 #include "als/reference.hpp"
-#include "als/row_solve.hpp"
 #include "common/error.hpp"
-#include "linalg/cholesky.hpp"
-#include "linalg/dense.hpp"
 #include "linalg/vecops.hpp"
 #include "sparse/convert.hpp"
 
 namespace alsmf {
-
-namespace {
-
-/// One implicit half-update: recompute every row of dst from src.
-void implicit_half_update(const Csr& r, const Matrix& src, Matrix& dst,
-                          const ImplicitOptions& options, ThreadPool& pool) {
-  const int k = options.k;
-  const auto kk = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
-
-  // Gram matrix G = srcᵀ·src + λI once per half-iteration.
-  std::vector<real> gram(kk);
-  gram_full(src, options.lambda, gram.data());
-
-  pool.parallel_for(
-      0, static_cast<std::size_t>(r.rows()),
-      [&](std::size_t b, std::size_t e, unsigned) {
-        std::vector<real> a(kk);
-        for (std::size_t u = b; u < e; ++u) {
-          const auto row = static_cast<index_t>(u);
-          implicit_solve_row(gram.data(), r.row_cols(row), r.row_values(row),
-                             src, options.alpha, k, a.data(),
-                             dst.row(row).data());
-        }
-      });
-}
-
-}  // namespace
 
 void validate(const ImplicitOptions& options) {
   validate(static_cast<const FactorOptionsBase&>(options));
@@ -47,42 +19,43 @@ void validate(const ImplicitOptions& options) {
   }
 }
 
-void implicit_solve_row(const real* gram, std::span<const index_t> cols,
-                        std::span<const real> vals, const Matrix& src,
-                        real alpha, int k, real* a, real* x) {
-  const auto kk = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
-  std::copy(gram, gram + kk, a);
-  std::fill(x, x + k, real{0});
-  for (std::size_t p = 0; p < cols.size(); ++p) {
-    const real conf = real{1} + alpha * vals[p];
-    auto yrow = src.row(cols[p]);
-    // A += (c-1)·y yᵀ ; x += c·y   (p_ui = 1)
-    for (int i = 0; i < k; ++i) {
-      const real ci = (conf - real{1}) * yrow[static_cast<std::size_t>(i)];
-      real* arow = a + static_cast<std::size_t>(i) * static_cast<std::size_t>(k);
-      for (int j = 0; j < k; ++j) {
-        arow[j] += ci * yrow[static_cast<std::size_t>(j)];
-      }
-      x[i] += conf * yrow[static_cast<std::size_t>(i)];
-    }
-  }
-  if (!cholesky_solve(a, k, x)) std::fill(x, x + k, real{0});
+DeviceImplicitAls::DeviceImplicitAls(const Csr& interactions,
+                                     const ImplicitOptions& options,
+                                     devsim::Device& device)
+    : options_(options), conf_(interactions), device_(device) {
+  alsmf::validate(options_);
+  for (real& v : conf_.values()) v = real{1} + options_.alpha * v;
+  conf_t_ = transpose(conf_);
+  init_factors(interactions.rows(), interactions.cols(), options_, x_, y_);
 }
 
-ImplicitResult implicit_als(const Csr& r, const ImplicitOptions& options,
-                            ThreadPool* pool) {
-  validate(options);
-  if (!pool) pool = &ThreadPool::global();
+void DeviceImplicitAls::half_update(const Csr& conf, const Matrix& src,
+                                    Matrix& dst, const char* name) {
+  gram_.resize(static_cast<std::size_t>(options_.k) * options_.k);
+  gram_full(src, options_.lambda, gram_.data());
+  UpdateArgs args;
+  args.r = &conf;
+  args.src = &src;
+  args.dst = &dst;
+  args.k = options_.k;
+  args.gram = gram_.data();
+  launch_update(device_, name, args, num_groups, group_size, functional,
+                validate);
+}
 
-  ImplicitResult result;
-  init_factors(r.rows(), r.cols(), options, result.x, result.y);
+void DeviceImplicitAls::run_iteration() {
+  half_update(conf_, y_, x_, "implicit_update_x");
+  half_update(conf_t_, x_, y_, "implicit_update_y");
+}
 
-  const Csr rt = transpose(r);
-  for (int it = 0; it < options.iterations; ++it) {
-    implicit_half_update(r, result.y, result.x, options, *pool);
-    implicit_half_update(rt, result.x, result.y, options, *pool);
-  }
-  return result;
+double DeviceImplicitAls::run() {
+  const double before = device_.modeled_seconds();
+  for (int it = 0; it < options_.iterations; ++it) run_iteration();
+  return device_.modeled_seconds() - before;
+}
+
+double DeviceImplicitAls::modeled_seconds() const {
+  return device_.modeled_seconds_matching("implicit_update");
 }
 
 double implicit_loss(const Csr& r, const Matrix& x, const Matrix& y,

@@ -5,16 +5,22 @@
 // preferences p_ui = 1 with confidence c_ui = 1 + alpha * r_ui, and each
 // row solves
 //     (YᵀY + Yᵀ(Cᵘ - I)Y + λI) x_u = Yᵀ Cᵘ p_u ,
-// where the dense Gram matrix YᵀY is computed once per half-iteration and
-// only the Ω_u-restricted correction is per-row — the trick that makes
+// where the dense Gram matrix YᵀY + λI is computed once per half-iteration
+// and only the Ω_u-restricted correction is per-row — the trick that makes
 // implicit ALS tractable.
+//
+// The half-updates run the explicit thread-batched kernel (kernels.hpp)
+// with the Gramian as its prefix, as iALS++ (Rendle et al.) and ALX (Mehta
+// et al.) solve implicit ALS: the host computes G once per half-update
+// (O(n·k²), dwarfed by the per-row work), every work-group reads it, and
+// the kernel's S1–S3 formulas price the rows like explicit ones plus that
+// broadcast.
 #pragma once
 
-#include <cstdint>
-#include <span>
+#include <vector>
 
 #include "als/options.hpp"
-#include "common/thread_pool.hpp"
+#include "devsim/device.hpp"
 #include "linalg/dense.hpp"
 #include "sparse/csr.hpp"
 
@@ -33,26 +39,39 @@ struct ImplicitOptions : FactorOptionsBase {
 /// Shared-base validation plus the confidence slope.
 void validate(const ImplicitOptions& options);
 
-struct ImplicitResult {
-  Matrix x;  ///< m × k user factors
-  Matrix y;  ///< n × k item factors
+/// Trains implicit-feedback factors on the interaction matrix (values are
+/// interaction strengths, e.g. counts) on one device.
+class DeviceImplicitAls {
+ public:
+  DeviceImplicitAls(const Csr& interactions, const ImplicitOptions& options,
+                    devsim::Device& device);
+
+  void run_iteration();
+  double run();  ///< all iterations; returns modeled seconds consumed
+
+  const Matrix& x() const { return x_; }
+  const Matrix& y() const { return y_; }
+  double modeled_seconds() const;
+
+  /// Launch shape (the paper's defaults).
+  std::size_t num_groups = 8192;
+  int group_size = 32;
+  bool functional = true;
+  /// Checked execution (shadow-memory analysis); requires functional.
+  bool validate = false;
+
+ private:
+  void half_update(const Csr& conf, const Matrix& src, Matrix& dst,
+                   const char* name);
+
+  ImplicitOptions options_;
+  /// The interactions with each value r replaced by its confidence
+  /// 1 + alpha·r (rounded once, here), and the transpose of that.
+  Csr conf_, conf_t_;
+  devsim::Device& device_;
+  Matrix x_, y_;
+  std::vector<real> gram_;  ///< the current half-update's Gramian prefix
 };
-
-/// Trains implicit-feedback factors on the interaction matrix `r` (values
-/// are interpreted as interaction strengths, e.g. counts). Parallel over
-/// rows via the pool.
-ImplicitResult implicit_als(const Csr& r, const ImplicitOptions& options,
-                            ThreadPool* pool = nullptr);
-
-/// Solves one row of the implicit half-update into x (k values):
-///     (G + Σ_p (c_p − 1)·y_p y_pᵀ) x = Σ_p c_p·y_p ,  c_p = 1 + alpha·v_p ,
-/// where `gram` is G = srcᵀsrc + λI (k×k, row-major) and y_p are the rows
-/// `cols` of `src` with values `vals`. `a` is k×k scratch. A system that
-/// fails to factor yields x = 0. Shared by implicit_als and
-/// DeviceImplicitAls, so both produce the same bits.
-void implicit_solve_row(const real* gram, std::span<const index_t> cols,
-                        std::span<const real> vals, const Matrix& src,
-                        real alpha, int k, real* a, real* x);
 
 /// The implicit-ALS objective: Σ_ui c_ui (p_ui - x_uᵀy_i)² + λ(|X|²+|Y|²),
 /// with the sum running over ALL user-item cells (unobserved cells have

@@ -23,6 +23,7 @@ struct UpdateSpans {
   check::GlobalSpan<const real> vals;
   check::GlobalSpan<const real> src;
   check::GlobalSpan<real> dst;
+  check::GlobalSpan<const real> gram;  ///< implicit half-updates only
 };
 
 UpdateSpans make_spans(GroupCtx& ctx, const UpdateArgs& a) {
@@ -35,16 +36,23 @@ UpdateSpans make_spans(GroupCtx& ctx, const UpdateArgs& a) {
       ctx.global_span("r.values", a.r->values().data(), a.r->values().size());
   s.src = ctx.global_span("src", a.src->data(), a.src->size());
   s.dst = ctx.global_span("dst", a.dst->data(), a.dst->size());
+  if (a.gram) {
+    s.gram = ctx.global_span("gram", a.gram,
+                             static_cast<std::size_t>(a.k) * a.k);
+  }
   return s;
 }
 
-/// Sums one row's normal equations from the half-update's product table
-/// when it has one, else straight from src: bitwise the same either way
+/// Sums one row's normal equations: the implicit system from the Gramian
+/// prefix when the half-update has one; else from the product table when it
+/// has one, else straight from src, bitwise the same either way
 /// (row_solve.hpp).
 void assemble(const UpdateArgs& a, std::span<const index_t> cols,
               std::span<const real> vals, real lambda, real* smat,
               real* svec) {
-  if (a.products) {
+  if (a.gram) {
+    assemble_implicit_equations(cols, vals, *a.src, a.gram, a.k, smat, svec);
+  } else if (a.products) {
     assemble_normal_equations(cols, vals, *a.products, lambda, a.k, smat, svec);
   } else {
     assemble_normal_equations(cols, vals, *a.src, lambda, a.k, smat, svec);
@@ -157,6 +165,8 @@ class BatchedKernel {
 
     // The row's CSR segment (col_idx + values) streams in once.
     ctx.global_read_coalesced(omega * 8.0);
+    // An implicit row starts from the k×k Gramian, broadcast to the group.
+    if (a_.gram) ctx.global_read_coalesced(static_cast<double>(k) * k * 4.0);
     // Cold gather of the needed y rows: one scattered access per nonzero,
     // k·4 useful bytes each (consecutive lanes read consecutive floats).
     ctx.global_read_scattered(omega, k * 4.0);
@@ -258,6 +268,7 @@ class BatchedKernel {
     ctx.section("S1");
     g.cols.mark_read(row_begin, cols.size());
     g.vals.mark_read(row_begin, vals.size());
+    if (a_.gram) g.gram.mark_read(0, ku * ku);
     // Lane p mod ws gathers row p of each chunk. The local-memory variant
     // stages chunks of up to tile_rows gathered y rows (and their ratings)
     // in the scratch-pad, and lane 0 consumes each one between a barrier
@@ -492,9 +503,13 @@ devsim::LaunchResult launch_update(devsim::Device& device,
     exact = make_exact_row_solver(a.solver);
     a.row_solver = exact.get();
   }
-  // Likewise a transient table when the caller brings none and one pays.
+  // Likewise a transient table when the caller brings none and one pays;
+  // implicit rows never sum one (row_solve.hpp).
+  ALSMF_CHECK(!a.gram || (a.variant.thread_batching && !a.products));
   ProductTable own;
-  if (!a.products) a.products = product_table_for(*a.src, functional, own);
+  if (!a.products && !a.gram) {
+    a.products = product_table_for(*a.src, functional, own);
+  }
   ALSMF_CHECK(!a.products || (a.products->k() == a.k &&
                               a.products->rows() == a.src->rows()));
 

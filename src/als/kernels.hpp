@@ -14,9 +14,10 @@
 //
 // The host arithmetic and the accounting are separate. Every variant sums
 // each row's normal equations through assemble_normal_equations
-// (row_solve.hpp), while the S1/S2/S3 counters come only from the
-// record_s* formulas, which read row lengths and the variant, never how the
-// host blocks its loops. The local-memory variant allocates and prices its
+// (row_solve.hpp; implicit rows, which start from a Gramian prefix, through
+// assemble_implicit_equations), while the S1/S2/S3 counters come only from
+// the record_s* formulas, which read row lengths and the variant, never how
+// the host blocks its loops. The local-memory variant allocates and prices its
 // staging tile and declares every staging access to the checker, but reads
 // the values straight from src; the generated OpenCL moves the data.
 // Per-rating declarations run in checked launches only: unchecked, they
@@ -67,6 +68,14 @@ struct UpdateArgs {
   /// multiply directly. Borrowed like row_solver; it must have been built
   /// from `src` as it stands for this launch.
   const ProductTable* products = nullptr;
+  /// Implicit ALS's Gramian prefix G = srcᵀsrc + λI (k×k, row-major, from
+  /// gram_full with λ already in it); borrowed like row_solver. When set,
+  /// the values of `r` are confidences c = 1 + α·r and every row solves
+  /// (G + Σ (c_p − 1) y_p y_pᵀ) x = Σ c_p y_p (assemble_implicit_equations):
+  /// `lambda` and `weighted_lambda` are unused, no product table is summed,
+  /// and the variant must be thread-batched. The batched kernel prices the
+  /// row like an explicit one plus a k×k broadcast of G.
+  const real* gram = nullptr;
 };
 
 /// The rule for summing a product table instead of multiplying. It moves

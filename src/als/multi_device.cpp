@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "als/reference.hpp"
 #include "common/error.hpp"
@@ -92,6 +93,18 @@ MultiDeviceAls::MultiDeviceAls(const Csr& train, const AlsOptions& options,
       elastic_(elastic),
       fault_model_(std::max<std::size_t>(1, profiles.size()), elastic.faults) {
   ALSMF_CHECK_MSG(!profiles.empty(), "need at least one device profile");
+  validate(options_);
+  // trajectory_hash folds both fields in, so a checkpoint written with
+  // either set would claim a trajectory this trainer does not run.
+  if (options_.anderson_m > 0) {
+    throw Error("MultiDeviceAls does not mix: anderson_m = " +
+                std::to_string(options_.anderson_m) + "; expected 0");
+  }
+  if (options_.storage != StoragePrecision::kFp32) {
+    throw Error(std::string("MultiDeviceAls stores factors at fp32 only: "
+                            "storage = ") +
+                to_string(options_.storage) + "; expected fp32");
+  }
   row_solver_ = make_row_solver(options_);
   for (auto& p : profiles) {
     devices_.push_back(std::make_unique<devsim::Device>(std::move(p)));

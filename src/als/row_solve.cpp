@@ -46,6 +46,27 @@ void assemble_normal_equations(std::span<const index_t> cols,
   finalize_gram(lambda, k, smat);
 }
 
+void assemble_implicit_equations(std::span<const index_t> cols,
+                                 std::span<const real> confs, const Matrix& y,
+                                 const real* gram, int k, real* smat,
+                                 real* svec) {
+  ALSMF_CHECK(cols.size() == confs.size());
+  std::copy(gram, gram + static_cast<std::size_t>(k) * k, smat);
+  std::fill(svec, svec + k, real{0});
+  std::array<const real*, kGramBlockRows> rows{};
+  std::array<real, kGramBlockRows> excess{};
+  for (std::size_t base = 0; base < cols.size(); base += rows.size()) {
+    const std::size_t n = std::min(rows.size(), cols.size() - base);
+    for (std::size_t p = 0; p < n; ++p) {
+      rows[p] = y.row(cols[base + p]).data();
+      excess[p] = confs[base + p] - real{1};
+    }
+    accumulate_gram({rows.data(), n}, confs.data() + base, excess.data(), k,
+                    smat, svec);
+  }
+  finalize_gram(real{0}, k, smat);
+}
+
 bool solve_normal_equations(real* smat, real* svec, int k,
                             LinearSolverKind solver) {
   if (robust::fault_at(robust::FaultSite::kSolve)) {

@@ -27,6 +27,22 @@ struct GatheredRows {
   const real* operator()(std::size_t p) const { return rows[p]; }
 };
 
+/// Gathered rows whose Gram products carry one matrix weight m_p per row.
+struct WeightedRows : GatheredRows {
+  const real* m;
+};
+
+/// The column-side operand of a Gram product: y_p[j] as it stands...
+template <class Rows>
+real column(const Rows&, std::size_t, real yj) {
+  return yj;
+}
+
+/// ...or scaled by the row's matrix weight first, m_p·y_p[j].
+real column(const WeightedRows& rows, std::size_t p, real yj) {
+  return rows.m[p] * yj;
+}
+
 /// The y_p appended to gathered ProductTable rows.
 struct TableRows {
   const real* const* rows;
@@ -62,7 +78,7 @@ void gram_tile(const Rows& row, std::size_t p0, std::size_t p1, int i0,
 #pragma GCC unroll 4
     for (int r = 0; r < NI; ++r) {
 #pragma GCC unroll 4
-      for (int c = 0; c < NJ; ++c) acc[r][c] += yi[r] * yj[c];
+      for (int c = 0; c < NJ; ++c) acc[r][c] += yi[r] * column(row, p, yj[c]);
     }
   }
   for (int r = 0; r < NI; ++r) {
@@ -128,6 +144,28 @@ void accumulate(const Rows& row, std::size_t n, const real* weights, int k,
   }
 }
 
+/// accumulate() over matrix-weighted rows, with the rhs summed one row at a
+/// time. Its own loop, because rhs_tile<WeightedRows> would compile to the
+/// same code as rhs_tile<GatheredRows>, and GCC would fold the two into one
+/// out-of-line function that the unweighted form no longer inlines.
+void accumulate_weighted(const WeightedRows& row, std::size_t n,
+                         const real* weights, int k, real* gram, real* rhs) {
+  const auto ku = static_cast<std::size_t>(k);
+  for (std::size_t p0 = 0; p0 < n; p0 += kGramBlockRows) {
+    const std::size_t p1 = std::min(n, p0 + kGramBlockRows);
+    for (int i0 = 0; i0 < k; i0 += kTile) {
+      const int ni = std::min(kTile, k - i0);
+      for (int j0 = i0; j0 < k; j0 += kTile) {
+        tile(row, p0, p1, i0, j0, ni, std::min(kTile, k - j0), ku, gram);
+      }
+    }
+  }
+  if (rhs == nullptr) return;
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t i = 0; i < ku; ++i) rhs[i] += weights[p] * row(p)[i];
+  }
+}
+
 /// Reals per padded vector of a ProductTable row (one SSE register).
 constexpr std::size_t kProductVector = 4;
 /// Packed products summed in locals per pass of accumulate_products.
@@ -158,6 +196,12 @@ void product_block(const real* const* rows, std::size_t n, std::size_t off,
 void accumulate_gram(std::span<const real* const> rows, const real* weights,
                      int k, real* gram, real* rhs) {
   accumulate(GatheredRows{rows.data()}, rows.size(), weights, k, gram, rhs);
+}
+
+void accumulate_gram(std::span<const real* const> rows, const real* weights,
+                     const real* gram_weights, int k, real* gram, real* rhs) {
+  accumulate_weighted(WeightedRows{{rows.data()}, gram_weights}, rows.size(),
+                      weights, k, gram, rhs);
 }
 
 void accumulate_gram(const real* rows, std::size_t n, const real* weights,

@@ -112,6 +112,17 @@ void accumulate_gram(std::span<const real* const> rows, const real* weights,
 void accumulate_gram(const real* rows, std::size_t n, const real* weights,
                      int k, real* gram, real* rhs);
 
+/// The gathered form with one matrix weight m_p per row in `gram_weights`:
+/// the Gram part becomes Σ_p m_p y_p y_pᵀ (implicit ALS's confidence term,
+/// with m_p = c_p − 1). The weight scales the column-side element first,
+/// so element (i, j ≥ i) adds y_p[i]·(m_p·y_p[j]): one more rounding, then
+/// the order contract above. That is bitwise the lower element (j, i) of a
+/// full-square loop adding (m_p·y_p[j])·y_p[i], so finalize_gram's mirror
+/// reproduces such a loop. A ProductTable cannot serve this form: its
+/// pre-formed y_p[i]·y_p[j] would round m_p·(y_p[i]·y_p[j]) instead.
+void accumulate_gram(std::span<const real* const> rows, const real* weights,
+                     const real* gram_weights, int k, real* gram, real* rhs);
+
 /// The products of every row of a factor matrix, formed once so that the
 /// Gram sums over many ratings of one row add them instead of multiplying.
 /// Row s holds the upper triangle of y_s y_sᵀ packed row by row

@@ -4,7 +4,6 @@
 // bit for bit — the strongest form of the convergence-under-faults gate.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 
 #include "als/metrics.hpp"
@@ -22,11 +21,6 @@ using robust::FaultPlan;
 using robust::FaultSite;
 using robust::ScopedFaultInjector;
 using robust::fault_key;
-
-std::uint64_t fault_seed() {
-  const char* env = std::getenv("ALSMF_FAULT_SEED");
-  return env ? std::strtoull(env, nullptr, 10) : 42;
-}
 
 AlsOptions opts() {
   AlsOptions o;
@@ -75,7 +69,7 @@ TEST(ElasticMultiDevice, DeviceLossRepartitionsAndMatchesReference) {
   // Kill device 1 on its third shard launch (mid-run, iteration 2's X
   // half-step) — the exact key fires for every seed.
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.exact[static_cast<int>(FaultSite::kDeviceFailure)] = {fault_key(1, 2)};
   ScopedFaultInjector scoped(plan);
 
@@ -117,7 +111,7 @@ TEST(ElasticMultiDevice, TwoDevicesLostInOneWaveRecoverBitwise) {
   // wave. The recovery wave then gives each survivor one shard per lost
   // range — two shards on one device, which must run one after the other.
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.exact[static_cast<int>(FaultSite::kDeviceFailure)] = {fault_key(1, 2),
                                                              fault_key(2, 2)};
   ScopedFaultInjector scoped(plan);
@@ -145,7 +139,7 @@ TEST(ElasticMultiDevice, ProbabilisticFailuresStillConverge) {
   const auto ref = reference_als(train, opts());
 
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.probability[static_cast<int>(FaultSite::kDeviceFailure)] = 0.05;
   plan.max_faults = 2;
   ScopedFaultInjector scoped(plan);
@@ -171,7 +165,7 @@ TEST(ElasticMultiDevice, StragglerTriggersSpeculationAndWins) {
   // median, the deadline (3x median) expires, and the shard re-executes
   // speculatively on the fastest healthy device.
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.exact[static_cast<int>(FaultSite::kStraggler)] = {fault_key(2, 0)};
   ElasticOptions elastic;
   elastic.faults.straggler_slowdown_min = 8.0;
@@ -199,7 +193,7 @@ TEST(ElasticMultiDevice, SpeculationPreservesFactors) {
   const Csr train = testing::random_csr(60, 40, 0.15, 205);
   const auto ref = reference_als(train, opts());
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.exact[static_cast<int>(FaultSite::kStraggler)] = {fault_key(0, 0),
                                                          fault_key(1, 3)};
   ElasticOptions elastic;
@@ -222,7 +216,7 @@ TEST(ElasticMultiDevice, LinkFaultRetryIsPricedIntoCommunication) {
 
   // Device 0's first transfer attempt faults once, then succeeds on retry.
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.exact[static_cast<int>(FaultSite::kLinkTransfer)] = {fault_key(0, 0)};
   ScopedFaultInjector scoped(plan);
   MultiDeviceAls faulty(train, o, AlsVariant::batch_local_reg(), gpus(2));
@@ -244,7 +238,7 @@ TEST(ElasticMultiDevice, LinkExhaustionFailsTheDeviceOver) {
   // Every transfer attempt of device 1 faults: initial + 3 retries exhausts
   // the budget and the device fails over.
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.exact[static_cast<int>(FaultSite::kLinkTransfer)] = {
       fault_key(1, 0), fault_key(1, 1), fault_key(1, 2), fault_key(1, 3)};
   ScopedFaultInjector scoped(plan);
@@ -285,7 +279,7 @@ TEST(ElasticMultiDevice, RecoveryMatchesSingleDeviceForEveryRowSolver) {
   cases[3] = {"link exhaustion", 2, {}, {}};
   cases[3].plan.exact[static_cast<int>(FaultSite::kLinkTransfer)] = {
       fault_key(1, 0), fault_key(1, 1), fault_key(1, 2), fault_key(1, 3)};
-  for (Case& c : cases) c.plan.seed = fault_seed();
+  for (Case& c : cases) c.plan.seed = testing::fault_seed();
 
   const Csr train = testing::random_csr(70, 45, 0.15, 212);
   for (const RowSolverKind kind : {RowSolverKind::kCholesky,
@@ -376,7 +370,7 @@ TEST(ElasticMultiDevice, ResumeIgnoresMismatchedTrajectory) {
 TEST(ElasticMultiDevice, RecoveryMetricsAreExposed) {
   const Csr train = testing::random_csr(60, 40, 0.15, 210);
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.exact[static_cast<int>(FaultSite::kDeviceFailure)] = {fault_key(0, 1)};
   ScopedFaultInjector scoped(plan);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "als/reference.hpp"
 #include "data/datasets.hpp"
 #include "testing/util.hpp"
@@ -112,6 +114,32 @@ TEST(MultiDevice, EmptyProfileListRejected) {
   EXPECT_THROW(
       MultiDeviceAls(train, opts(), AlsVariant::batching_only(), {}),
       Error);
+}
+
+TEST(MultiDevice, OptionsValidatedLikeAlsSolver) {
+  // Invalid values throw as in AlsSolver; Anderson mixing and narrow
+  // storage, which this trainer does not run but trajectory_hash covers,
+  // are refused by name instead of being ignored.
+  const Csr train = testing::random_csr(10, 10, 0.3, 165);
+  const auto expect_rejected = [&](const AlsOptions& o,
+                                   const std::string& field) {
+    try {
+      MultiDeviceAls(train, o, AlsVariant::batching_only(), {devsim::k20c()});
+      ADD_FAILURE() << field << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  AlsOptions bad = opts();
+  bad.lambda = -1.0f;
+  expect_rejected(bad, "lambda");
+  bad = opts();
+  bad.anderson_m = 2;
+  expect_rejected(bad, "anderson_m");
+  bad = opts();
+  bad.storage = StoragePrecision::kFp16;
+  expect_rejected(bad, "storage");
 }
 
 void expect_partition_invariants(

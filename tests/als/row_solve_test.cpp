@@ -142,6 +142,45 @@ TEST(RowSolve, BlockedAccumulateMatchesRowByRowBitwise) {
       g = g0;
       accumulate_gram(rows, nullptr, k, g.data(), nullptr);
       EXPECT_EQ(bits(g), bits(g_ref)) << "no rhs";
+
+      // Matrix weights m_p = c_p − 1 with c_p = 1 + α·w_p, as implicit rows
+      // pass them (α = 0 makes every m_p zero). The oracle is the
+      // full-square loop implicit rows once ran, from a symmetric start:
+      // element (i, j) adds (m_p·y_p[i])·y_p[j]. The accumulator's upper
+      // element (i, j ≥ i) must equal that loop's lower element (j, i).
+      for (const real alpha : {0.0f, 0.37f, 40.0f}) {
+        SCOPED_TRACE("alpha=" + std::to_string(alpha));
+        std::vector<real> m(n);
+        for (std::size_t p = 0; p < n; ++p) {
+          m[p] = (real{1} + alpha * w[p]) - real{1};
+        }
+        std::vector<real> full(ku * ku), r_full = r0;
+        for (std::size_t i = 0; i < ku; ++i) {
+          for (std::size_t j = 0; j < ku; ++j) {
+            full[i * ku + j] = g0[std::min(i, j) * ku + std::max(i, j)];
+          }
+        }
+        for (std::size_t p = 0; p < n; ++p) {
+          for (std::size_t i = 0; i < ku; ++i) {
+            const real ci = m[p] * rows[p][i];
+            for (std::size_t j = 0; j < ku; ++j) {
+              full[i * ku + j] += ci * rows[p][j];
+            }
+            r_full[i] += w[p] * rows[p][i];
+          }
+        }
+        std::vector<real> expect = g0;
+        for (std::size_t i = 0; i < ku; ++i) {
+          for (std::size_t j = i; j < ku; ++j) {
+            expect[i * ku + j] = full[j * ku + i];
+          }
+        }
+        g = g0;
+        r = r0;
+        accumulate_gram(rows, w.data(), m.data(), k, g.data(), r.data());
+        EXPECT_EQ(bits(g), bits(expect)) << "matrix weights";
+        EXPECT_EQ(bits(r), bits(r_full)) << "matrix weights";
+      }
     }
   }
 }

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "common/error.hpp"
+#include "testing/util.hpp"
 
 namespace alsmf::devsim {
 namespace {
@@ -13,11 +12,6 @@ using robust::FaultPlan;
 using robust::FaultSite;
 using robust::ScopedFaultInjector;
 using robust::fault_key;
-
-std::uint64_t fault_seed() {
-  const char* env = std::getenv("ALSMF_FAULT_SEED");
-  return env ? std::strtoull(env, nullptr, 10) : 42;
-}
 
 TEST(FaultModel, NoInjectorMeansHealthyFleet) {
   ASSERT_EQ(robust::installed_fault_injector(), nullptr);
@@ -47,7 +41,7 @@ TEST(FaultModel, ValidatesConstruction) {
 
 TEST(FaultModel, DecisionsIndependentOfDeviceInterleaving) {
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.probability[static_cast<int>(FaultSite::kDeviceFailure)] = 0.1;
   plan.probability[static_cast<int>(FaultSite::kStraggler)] = 0.4;
   plan.probability[static_cast<int>(FaultSite::kLinkTransfer)] = 0.3;
@@ -99,7 +93,7 @@ TEST(FaultModel, ExactKeyKillsOneDeviceLaunch) {
 
 TEST(FaultModel, StragglerSlowdownStaysInRangeAndReplays) {
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.probability[static_cast<int>(FaultSite::kStraggler)] = 1.0;
   FaultModelOptions options;
   options.straggler_slowdown_min = 4.0;

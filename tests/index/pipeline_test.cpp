@@ -5,7 +5,6 @@
 // I/O fault mid-pipeline.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -18,11 +17,6 @@ namespace alsmf::pipeline {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::uint64_t fault_seed() {
-  const char* env = std::getenv("ALSMF_FAULT_SEED");
-  return env ? std::strtoull(env, nullptr, 10) : 42ULL;
-}
 
 std::string fresh_dir(const std::string& name) {
   const auto dir = fs::path(::testing::TempDir()) / name;
@@ -109,7 +103,7 @@ TEST(Pipeline, InjectedCheckpointLoadFaultFallsBackGracefully) {
 
   const auto dir = fresh_dir("pipeline_fault");
   robust::FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   // First read of the second checkpoint's first load attempt fails; the
   // retry (occurrences shifted past the plan) succeeds.
   plan.exact[static_cast<int>(robust::FaultSite::kIoRead)] = {reads_per_load};

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "als/solver.hpp"
@@ -13,11 +12,6 @@ namespace {
 
 // CI's fault-injection smoke job sweeps this over several seeds; every
 // recovery property below must hold for any seed.
-std::uint64_t fault_seed() {
-  const char* env = std::getenv("ALSMF_FAULT_SEED");
-  return env ? std::strtoull(env, nullptr, 10) : 42;
-}
-
 TEST(FaultInjection, DecisionsDependOnlyOnSeedAndOccurrence) {
   FaultPlan plan;
   plan.seed = 123;
@@ -66,7 +60,7 @@ TEST(FaultInjection, BudgetCapsTotalFaults) {
 
 TEST(FaultInjection, ProbabilityIsRoughlyRespected) {
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.probability[static_cast<int>(FaultSite::kSolve)] = 0.3;
   FaultInjector injector(plan);
   for (int i = 0; i < 2000; ++i) injector.should_fault(FaultSite::kSolve);
@@ -92,7 +86,7 @@ TEST(FaultInjection, ScopedInstallAndUninstall) {
 
 TEST(FaultInjection, KeyedDecisionsDependOnlyOnSeedSiteAndKey) {
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.probability[static_cast<int>(FaultSite::kDeviceFailure)] = 0.5;
   FaultInjector a(plan), b(plan);
   // Same keys queried in opposite orders: decisions must agree pairwise —
@@ -146,7 +140,7 @@ TEST(FaultInjection, SuppressedAccountsForBudgetWithheldFaults) {
 
 TEST(FaultInjection, UniformKeyedIsDeterministicAndInRange) {
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   FaultInjector a(plan), b(plan);
   for (std::uint64_t key = 0; key < 200; ++key) {
     const double u = a.uniform_keyed(FaultSite::kStraggler, key, 1);
@@ -170,7 +164,7 @@ TEST(FaultInjection, SolveFaultsAreRecoveredByGuards) {
   o.num_groups = 64;
 
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.probability[static_cast<int>(FaultSite::kSolve)] = 0.25;
   ScopedFaultInjector scoped(plan);
 
@@ -206,7 +200,7 @@ TEST(FaultInjection, GuardRecoveryIsBitwiseExactForTransientFaults) {
   clean.run({});
 
   FaultPlan plan;
-  plan.seed = fault_seed();
+  plan.seed = testing::fault_seed();
   plan.probability[static_cast<int>(FaultSite::kSolve)] = 0.2;
   ScopedFaultInjector scoped(plan);
   devsim::Device faulty_device(devsim::k20c());

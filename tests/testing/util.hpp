@@ -1,6 +1,13 @@
 // Shared test helpers.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <charconv>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <system_error>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -29,6 +36,23 @@ inline Coo random_coo(index_t rows, index_t cols, double density,
 inline Csr random_csr(index_t rows, index_t cols, double density,
                       std::uint64_t seed) {
   return coo_to_csr(random_coo(rows, cols, density, seed));
+}
+
+/// The fault-plan seed of the fault-drawing tests: ALSMF_FAULT_SEED when it
+/// is set (CI sweeps it), else 42. A value that is not wholly a
+/// non-negative decimal integer fails the calling test, so a mistyped sweep
+/// cannot quietly rerun one seed.
+inline std::uint64_t fault_seed() {
+  const char* env = std::getenv("ALSMF_FAULT_SEED");
+  if (env == nullptr) return 42;
+  std::uint64_t seed = 0;
+  const char* end = env + std::strlen(env);
+  const auto [stop, ec] = std::from_chars(env, end, seed);
+  if (ec != std::errc{} || stop != end) {
+    ADD_FAILURE() << "ALSMF_FAULT_SEED expects a non-negative integer, got '"
+                  << env << "'";
+  }
+  return seed;
 }
 
 /// Random SPD k×k matrix A = BᵀB + I (row-major into `a`).
