@@ -57,9 +57,12 @@
 //                       its shadow witness; exits non-zero unless every leg
 //                       is clean — see docs/kernel-checking.md)
 //
-// Ratings files use the paper's `<userID, itemID, rating>` text format.
+// A flag the subcommand does not read exits 2, naming the flag and the
+// subcommand. Ratings files use the paper's `<userID, itemID, rating>` text
+// format.
 #include <charconv>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -116,6 +119,16 @@ std::uint64_t parse_unsigned(std::string_view text, const std::string& source,
   return value;
 }
 
+// False, naming the flag and `cmd`, when the command line has a --flag
+// that `cmd` does not read; each command lists the flags it reads and
+// checks them before doing any work (the caller exits 2).
+bool accepts_only(const CliArgs& args, const char* cmd,
+                  std::initializer_list<const char*> flags) {
+  const auto unknown = args.unknown_flag(flags);
+  if (unknown) std::cerr << cmd << ": unknown flag --" << *unknown << "\n";
+  return !unknown;
+}
+
 // A --variant mask "0".."7" (AlsVariant::from_mask); empty on anything else.
 std::optional<AlsVariant> parse_variant_mask(const std::string& text) {
   if (text.size() != 1 || text[0] < '0' ||
@@ -126,6 +139,14 @@ std::optional<AlsVariant> parse_variant_mask(const std::string& text) {
 }
 
 int cmd_train(const CliArgs& args) {
+  if (!accepts_only(args, "train",
+                    {"ratings", "model", "k", "lambda", "iters", "device",
+                     "profile", "wr", "variant", "row-solver", "cg-iters",
+                     "subspace-block", "anderson-m", "checkpoint-dir",
+                     "checkpoint-every", "metrics-out", "events-out",
+                     "trace-out"})) {
+    return 2;
+  }
   const auto ratings_path = args.get("ratings");
   const auto model_path = args.get("model");
   if (!ratings_path || !model_path) {
@@ -220,6 +241,14 @@ int cmd_train(const CliArgs& args) {
 // JSON recovery report; exits non-zero when a run invariant is violated
 // (metrics conservation assertions, non-finite factors, incomplete run).
 int cmd_train_multi(const CliArgs& args) {
+  if (!accepts_only(args, "train-multi",
+                    {"ratings", "model", "k", "lambda", "iters", "wr",
+                     "variant", "devices", "device", "profile", "fail-at",
+                     "straggler-prob", "link-fault-prob", "device-fail-prob",
+                     "seed", "deadline-factor", "checkpoint-dir",
+                     "checkpoint-every", "metrics-out", "report-out"})) {
+    return 2;
+  }
   const auto ratings_path = args.get("ratings");
   if (!ratings_path) {
     std::cerr << "train-multi requires --ratings\n";
@@ -364,6 +393,7 @@ int cmd_train_multi(const CliArgs& args) {
 }
 
 int cmd_predict(const CliArgs& args) {
+  if (!accepts_only(args, "predict", {"model", "user", "item"})) return 2;
   const auto model_path = args.get("model");
   if (!model_path) {
     std::cerr << "predict requires --model\n";
@@ -377,6 +407,9 @@ int cmd_predict(const CliArgs& args) {
 }
 
 int cmd_recommend(const CliArgs& args) {
+  if (!accepts_only(args, "recommend", {"model", "user", "n", "ratings"})) {
+    return 2;
+  }
   const auto model_path = args.get("model");
   if (!model_path) {
     std::cerr << "recommend requires --model\n";
@@ -400,6 +433,7 @@ int cmd_recommend(const CliArgs& args) {
 }
 
 int cmd_evaluate(const CliArgs& args) {
+  if (!accepts_only(args, "evaluate", {"model", "test"})) return 2;
   const auto model_path = args.get("model");
   const auto test_path = args.get("test");
   if (!model_path || !test_path) {
@@ -414,6 +448,7 @@ int cmd_evaluate(const CliArgs& args) {
 }
 
 int cmd_tune(const CliArgs& args) {
+  if (!accepts_only(args, "tune", {"ratings", "iters"})) return 2;
   const auto ratings_path = args.get("ratings");
   if (!ratings_path) {
     std::cerr << "tune requires --ratings\n";
@@ -435,6 +470,7 @@ int cmd_tune(const CliArgs& args) {
 }
 
 int cmd_rank(const CliArgs& args) {
+  if (!accepts_only(args, "rank", {"model", "train", "test", "n"})) return 2;
   const auto model_path = args.get("model");
   const auto train_path = args.get("train");
   const auto test_path = args.get("test");
@@ -472,6 +508,11 @@ int cmd_rank(const CliArgs& args) {
 //   stats                      print the serving metrics JSON
 //   quit                       exit (stats are printed on exit too)
 int cmd_serve(const CliArgs& args) {
+  if (!accepts_only(args, "serve",
+                    {"model", "lambda", "batch", "cache", "max-queue",
+                     "deadline-us", "index", "nprobe", "clusters"})) {
+    return 2;
+  }
   const auto model_path = args.get("model");
   if (!model_path) {
     std::cerr << "serve requires --model\n";
@@ -572,6 +613,13 @@ int cmd_serve(const CliArgs& args) {
 }
 
 int cmd_pipeline(const CliArgs& args) {
+  if (!accepts_only(args, "pipeline",
+                    {"ratings", "checkpoint-dir", "index", "k", "lambda",
+                     "iters", "device", "checkpoint-every", "resume",
+                     "clusters", "nprobe", "clients", "zipf", "topn", "seed",
+                     "max-staleness"})) {
+    return 2;
+  }
   const auto ratings_path = args.get("ratings");
   const auto checkpoint_dir = args.get("checkpoint-dir");
   if (!ratings_path || !checkpoint_dir) {
@@ -622,6 +670,7 @@ int cmd_pipeline(const CliArgs& args) {
 }
 
 int cmd_devices(const CliArgs& args) {
+  if (!accepts_only(args, "devices", {"profile"})) return 2;
   if (auto path = args.get("profile")) {
     const auto p = devsim::read_profile_file(*path);
     std::cout << "custom profile: " << p.name << " ("
@@ -640,6 +689,9 @@ int cmd_devices(const CliArgs& args) {
 }
 
 int cmd_certify_kernels(const CliArgs& args) {
+  if (!accepts_only(args, "certify-kernels", {"k", "group-size", "json"})) {
+    return 2;
+  }
   CertifyKernelsOptions options;
   options.k = static_cast<int>(args.get_long("k", options.k));
   options.group_size =

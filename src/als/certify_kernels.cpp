@@ -175,6 +175,7 @@ FlavorCertificate certify_flavor(const ocl::KernelFlavor& flavor,
 // One generated flavor, parsed and lowered once per tile.
 struct ParsedFlavor {
   const ocl::KernelFlavor* flavor = nullptr;
+  az::TranslationUnit tu;
   std::vector<az::KernelIR> kernels;  ///< exactly one, named flavor->name
 };
 
@@ -195,15 +196,15 @@ TileCertificate certify_tile(const az::DatasetStats& stats,
   std::vector<ParsedFlavor> parsed;
   for (const ocl::KernelFlavor& flavor : flavors) {
     try {
-      const az::TranslationUnit tu = az::parse_translation_unit(flavor.source);
-      ParsedFlavor p{&flavor, az::lower_kernels(tu)};
+      ParsedFlavor p{&flavor, az::parse_translation_unit(flavor.source), {}};
+      p.kernels = az::lower_kernels(p.tu);
       if (p.kernels.size() != 1 || p.kernels.front().name != flavor.name) {
         out.errors.push_back(flavor.name + ": expected one __kernel named " +
                              flavor.name + ", found " +
                              std::to_string(p.kernels.size()));
         continue;
       }
-      out.flavors.push_back(certify_flavor(flavor, tu, p.kernels.front(),
+      out.flavors.push_back(certify_flavor(flavor, p.tu, p.kernels.front(),
                                            options, out.diagnostics));
       parsed.push_back(std::move(p));
     } catch (const az::ParseError& e) {
@@ -222,17 +223,11 @@ TileCertificate certify_tile(const az::DatasetStats& stats,
   for (const char* profile_name : kProfiles) {
     const devsim::DeviceProfile profile = devsim::profile_by_name(profile_name);
     az::DeepLintOptions lint_options;
-    lint_options.expected_kernels = 1;
     lint_options.local_capacity_bytes = devsim::local_capacity_bytes(profile);
-    // Structural lint capacity check: hardware scratch-pads only (emulated
-    // local memory has no hard per-group limit).
-    if (profile.has_hw_local_mem) {
-      lint_options.limits.local_mem_bytes = profile.local_mem_bytes;
-    }
     for (const ParsedFlavor& p : parsed) {
       const std::string& name = p.flavor->name;
-      const ocl::LintReport lint =
-          az::deep_lint_kernel_ir(p.flavor->source, p.kernels, lint_options);
+      const az::LintReport lint = az::deep_lint_ir(
+          p.flavor->source, p.tu, p.kernels, lint_options);
       for (const auto& issue : lint.issues) {
         // Clickable <file>:<line>:<col> anchor (col 0 = unknown, still
         // parseable by editors), profile-qualified.

@@ -7,8 +7,8 @@
 // tile, so multi-chunk staging and its barrier pairing are covered. Each
 // flavor is generated, parsed and lowered once per tile, and that one IR
 // feeds every static leg:
-//  * per device profile: structural + deep lint (ocl/analyze/deep_lint.hpp)
-//    and the zero-run static profile (ocl/analyze/static_profile.hpp);
+//  * per device profile: deep lint (ocl/analyze/deep_lint.hpp) and the
+//    zero-run static profile (ocl/analyze/static_profile.hpp);
 //  * once per flavor (neither depends on the profile): the bounds & race
 //    verifier (ocl/analyze/verify/) under the ALS buffer contracts, and the
 //    precision certificate (ocl/analyze/precision/), cross-checked on the

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -81,6 +82,16 @@ double CliArgs::get_double(const std::string& name, double def) const {
 
 bool CliArgs::has_flag(const std::string& name) const {
   return options_.count(name) != 0;
+}
+
+std::optional<std::string> CliArgs::unknown_flag(
+    std::initializer_list<const char*> accepted) const {
+  for (const auto& [name, value] : options_) {
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      return name;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace alsmf

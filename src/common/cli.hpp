@@ -3,6 +3,7 @@
 // Supports `--name value`, `--name=value`, and boolean `--flag` forms.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -24,6 +25,11 @@ class CliArgs {
   long get_long(const std::string& name, long def) const;
   double get_double(const std::string& name, double def) const;
   bool has_flag(const std::string& name) const;
+
+  /// The first given --name (in name order) that is not in `accepted`, or
+  /// nullopt when every given flag is accepted.
+  std::optional<std::string> unknown_flag(
+      std::initializer_list<const char*> accepted) const;
 
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

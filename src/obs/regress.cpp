@@ -11,13 +11,12 @@ namespace alsmf::obs {
 
 RegressMetric& RegressReport::add(const std::string& name, double value,
                                   const std::string& unit,
-                                  bool lower_is_better, bool gate) {
+                                  bool lower_is_better) {
   RegressMetric m;
   m.name = name;
   m.value = value;
   m.unit = unit;
   m.lower_is_better = lower_is_better;
-  m.gate = gate;
   metrics.push_back(std::move(m));
   return metrics.back();
 }
@@ -43,7 +42,6 @@ std::string RegressReport::to_json() const {
     w.field("value", m.value);
     w.field("unit", m.unit);
     w.field("lower_is_better", m.lower_is_better);
-    w.field("gate", m.gate);
     w.end_object();
   }
   w.end_array();
@@ -74,7 +72,6 @@ RegressReport RegressReport::from_json(const std::string& text) {
     metric.value = m.at("value").as_double();
     metric.unit = m.at("unit").as_string();
     metric.lower_is_better = m.at("lower_is_better").as_bool(true);
-    metric.gate = m.at("gate").as_bool(true);
     ALSMF_CHECK_MSG(!metric.name.empty(), "regress report: unnamed metric");
     report.metrics.push_back(std::move(metric));
   }
@@ -96,29 +93,26 @@ CompareResult compare_reports(const RegressReport& baseline,
   for (const auto& base : baseline.metrics) {
     const RegressMetric* cur = current.find(base.name);
     if (!cur) {
-      if (base.gate) {
-        result.missing.push_back(base.name);
-        result.ok = false;
-      }
+      result.missing.push_back(base.name);
+      result.ok = false;
       continue;
     }
     RegressDelta delta;
     delta.name = base.name;
     delta.baseline = base.value;
     delta.current = cur->value;
-    delta.gate = base.gate && cur->gate;
     if (base.value != 0.0) {
       delta.ratio = cur->value / base.value;
       const double worse = base.lower_is_better ? delta.ratio - 1.0
                                                 : 1.0 - delta.ratio;
-      delta.regressed = delta.gate && worse > tolerance;
+      delta.regressed = worse > tolerance;
     } else {
       // Zero baseline: any move beyond the tolerance (absolute) in the bad
       // direction counts; ratio is meaningless.
       delta.ratio = 1.0;
       const double worse =
           base.lower_is_better ? cur->value : -cur->value;
-      delta.regressed = delta.gate && worse > tolerance;
+      delta.regressed = worse > tolerance;
     }
     if (delta.regressed) result.ok = false;
     result.deltas.push_back(std::move(delta));
@@ -132,9 +126,9 @@ std::string CompareResult::summary() const {
      << "     baseline ->      current   ratio\n";
   for (const auto& d : deltas) {
     char line[256];
-    std::snprintf(line, sizeof line, "  %-44s %12.6g -> %12.6g  x%-7.3f %s%s\n",
+    std::snprintf(line, sizeof line, "  %-44s %12.6g -> %12.6g  x%-7.3f %s\n",
                   d.name.c_str(), d.baseline, d.current, d.ratio,
-                  d.gate ? "" : "[info] ", d.regressed ? "REGRESSED" : "ok");
+                  d.regressed ? "REGRESSED" : "ok");
     os << line;
   }
   for (const auto& name : missing) {

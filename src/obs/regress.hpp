@@ -3,9 +3,8 @@
 // bench_regress writes a RegressReport (BENCH_regress.json) after running
 // the pinned-seed canonical suite; CI re-runs the suite and compares the
 // fresh report against a committed baseline with a relative tolerance.
-// Metrics carry a `gate` flag: modeled/deterministic numbers gate the build,
-// wall-clock and throughput numbers ride along for the trajectory but never
-// fail CI (they depend on the machine running the suite).
+// Every metric is modeled or otherwise deterministic, so every metric gates
+// the build; wall-clock time belongs to perfbench.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,6 @@ struct RegressMetric {
   double value = 0;
   std::string unit;   ///< "s", "qps", "rmse", "count", ...
   bool lower_is_better = true;
-  bool gate = true;   ///< false: informational only, never fails --compare
 };
 
 struct RegressReport {
@@ -30,8 +28,7 @@ struct RegressReport {
   std::vector<RegressMetric> metrics;
 
   RegressMetric& add(const std::string& name, double value,
-                     const std::string& unit, bool lower_is_better = true,
-                     bool gate = true);
+                     const std::string& unit, bool lower_is_better = true);
   const RegressMetric* find(const std::string& name) const;
 
   std::string to_json() const;
@@ -46,14 +43,13 @@ struct RegressDelta {
   double baseline = 0;
   double current = 0;
   double ratio = 1.0;
-  bool gate = true;
   bool regressed = false;
 };
 
 struct CompareResult {
   std::vector<RegressDelta> deltas;
-  /// Gated baseline metrics absent from the current report (schema break —
-  /// a silently dropped metric must fail the gate, not pass it).
+  /// Baseline metrics absent from the current report (schema break — a
+  /// silently dropped metric must fail the gate, not pass it).
   std::vector<std::string> missing;
   bool ok = true;
 
@@ -61,7 +57,7 @@ struct CompareResult {
   std::string summary() const;
 };
 
-/// Direction-aware comparison: a gated metric regresses when it moves past
+/// Direction-aware comparison: a metric regresses when it moves past
 /// `tolerance` (relative) in its bad direction; improvements never fail.
 /// Baselines at zero are compared absolutely against `tolerance` itself.
 CompareResult compare_reports(const RegressReport& baseline,

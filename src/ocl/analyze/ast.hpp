@@ -51,7 +51,7 @@ struct Stmt {
     kReturn,    // expr (may be null)
     kContinue,
     kBreak,
-    kBarrier,   // barrier(...);
+    kBarrier,   // barrier(cond);  cond = the fence flags
   };
   Kind kind = Kind::kExpr;
   int line = 0;
@@ -64,7 +64,8 @@ struct Stmt {
   ExprPtr array_extent;   // null for scalars
   ExprPtr init;
 
-  ExprPtr cond;       // if / for / while condition; kReturn value
+  ExprPtr cond;       // if / for / while condition; kReturn value;
+                      // kExpr expression; kBarrier fence flags
   StmtPtr for_init;   // kFor (decl or expr statement; may be null)
   ExprPtr step;       // kFor update expression (may be null)
   std::vector<StmtPtr> body;

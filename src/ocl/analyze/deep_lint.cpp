@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 
-#include "ocl/analyze/ir.hpp"
 #include "ocl/analyze/parser.hpp"
 
 namespace alsmf::ocl::analyze {
@@ -16,12 +16,86 @@ std::size_t align_up(std::size_t bytes) { return (bytes + 63) / 64 * 64; }
 
 bool freq_hot(const Freq& f) { return f.per_nnz > 0 || f.chunk_body > 0; }
 
+/// Calls `visit` on every statement of `body`, nested ones included.
+template <typename Visit>
+void for_each_stmt(const std::vector<StmtPtr>& body, const Visit& visit) {
+  for (const auto& s : body) {
+    if (!s) continue;
+    visit(*s);
+    if (s->for_init) visit(*s->for_init);
+    for_each_stmt(s->body, visit);
+    for_each_stmt(s->else_body, visit);
+  }
+}
+
+bool mentions(const Expr* e, const std::string& name) {
+  if (!e) return false;
+  if (e->kind == Expr::Kind::kIdent && e->name == name) return true;
+  for (const auto& k : e->kids) {
+    if (mentions(k.get(), name)) return true;
+  }
+  return false;
+}
+
+/// The checks that need the whole translation unit (or its text) rather
+/// than one kernel's IR.
+void check_translation_unit(const std::string& source,
+                            const TranslationUnit& tu, LintReport& report) {
+  const auto add = [&](int line, std::string message) {
+    report.issues.push_back({line, "deep: " + std::move(message)});
+  };
+  int kernels = 0;
+  for (const auto& fn : tu.functions) {
+    if (!fn.is_kernel) {
+      for_each_stmt(fn.body, [&](const Stmt& s) {
+        if (s.kind != Stmt::Kind::kBarrier) return;
+        add(s.line, "barrier() in helper function '" + fn.name +
+                        "'; only a __kernel body may synchronize the group");
+      });
+      continue;
+    }
+    ++kernels;
+    bool has_local = false;
+    int local_fence_line = 0;
+    for (const auto& p : fn.params) has_local |= p.is_local;
+    for_each_stmt(fn.body, [&](const Stmt& s) {
+      has_local |= s.kind == Stmt::Kind::kDecl && s.is_local;
+      if (local_fence_line == 0 &&
+          mentions(s.cond.get(), "CLK_LOCAL_MEM_FENCE")) {
+        local_fence_line = s.line;
+      }
+    });
+    if (local_fence_line > 0 && !has_local) {
+      add(local_fence_line, fn.name + ": local fence without any __local "
+                                      "declaration or parameter");
+    }
+  }
+  if (kernels != 1) {
+    add(0, "expected one __kernel entry point, found " +
+               std::to_string(kernels));
+  }
+  if (const auto tab = source.find('\t'); tab != std::string::npos) {
+    add(1 + static_cast<int>(std::count(source.begin(),
+                                        source.begin() + tab, '\n')),
+        "tab character");
+  }
+}
+
 void check_kernel(const KernelIR& ir, const DeepLintOptions& options,
                   LintReport& report) {
   const auto add = [&](int line, std::string message, int col = 0) {
     report.issues.push_back(
         {line, "deep: " + ir.name + ": " + std::move(message), col});
   };
+
+  // A barrier that only some lanes reach never releases the group
+  // (undefined behaviour in OpenCL).
+  for (const auto& b : ir.barriers) {
+    if (b.divergent) {
+      add(b.line, "barrier() inside lane-divergent control flow (it "
+                  "depends on get_local_id/get_global_id)");
+    }
+  }
 
   // Uncoalesced global store in a hot loop: every nonzero pays a scattered
   // transaction on GPUs. (Row-granular stores outside the nnz loops are the
@@ -124,23 +198,32 @@ void check_kernel(const KernelIR& ir, const DeepLintOptions& options,
 
 }  // namespace
 
-LintReport deep_lint_kernel_ir(const std::string& source,
-                               const std::vector<KernelIR>& kernels,
-                               const DeepLintOptions& options) {
-  LintReport report =
-      lint_kernel_source(source, options.expected_kernels, options.limits);
+std::string LintReport::to_string() const {
+  std::ostringstream os;
+  for (const auto& issue : issues) {
+    os << "line " << issue.line;
+    if (issue.col > 0) os << ":" << issue.col;
+    os << ": " << issue.message << "\n";
+  }
+  return os.str();
+}
+
+LintReport deep_lint_ir(const std::string& source, const TranslationUnit& tu,
+                        const std::vector<KernelIR>& kernels,
+                        const DeepLintOptions& options) {
+  LintReport report;
+  check_translation_unit(source, tu, report);
   for (const auto& ir : kernels) check_kernel(ir, options, report);
   return report;
 }
 
-LintReport deep_lint_kernel_source(const std::string& source,
-                                   const DeepLintOptions& options) {
+LintReport deep_lint_source(const std::string& source,
+                            const DeepLintOptions& options) {
   try {
-    return deep_lint_kernel_ir(
-        source, lower_kernels(parse_translation_unit(source)), options);
+    const TranslationUnit tu = parse_translation_unit(source);
+    return deep_lint_ir(source, tu, lower_kernels(tu), options);
   } catch (const ParseError& e) {
-    LintReport report =
-        lint_kernel_source(source, options.expected_kernels, options.limits);
+    LintReport report;
     report.issues.push_back(
         {e.line, "deep: unanalyzable kernel source: " + e.message});
     return report;

@@ -159,6 +159,23 @@ Affine aff_scale(const Affine& x, long s) {
 
 bool aff_is_const(const Affine& a) { return a.ok && a.t.empty(); }
 
+/// The work-item identity builtins as affine terms; unknown for any other
+/// call.
+Affine aff_of_call(const std::string& callee) {
+  if (callee == "get_local_id") return aff_term("lane");
+  if (callee == "get_group_id") return aff_term("group");
+  if (callee == "get_num_groups") return aff_term("ngroups");
+  if (callee == "get_global_id") return aff_term("row");
+  return aff_unknown();
+}
+
+/// `x = ...` and the compound `x op= ...` (not the comparisons).
+bool is_assignment(const std::string& op) {
+  return op == "=" || (op.size() == 2 && op[1] == '=' &&
+                       std::string("+-*/%&|^").find(op[0]) !=
+                           std::string::npos);
+}
+
 AffineIdx aff_export(const Affine& a) {
   AffineIdx out;
   out.ok = a.ok;
@@ -274,6 +291,15 @@ class KernelLowerer {
     out_.batched_mapping = has_row_stride_loop(fn_.body);
     if (!out_.batched_mapping) freq_.per_row = 1;
 
+    // Lane dependence is flow-insensitive: iterate until no assignment
+    // adds a variable, so a value set under a lane-divergent branch taints
+    // every loop bound and condition that reads it, before or after.
+    std::size_t known = 0;
+    do {
+      known = lane_vars_.size();
+      taint_list(fn_.body, /*divergent=*/false);
+    } while (lane_vars_.size() != known);
+
     for (const auto& s : fn_.body) stmt(*s);
     flush_folds();
     out_.has_unrolled_accumulators = scalar_accumulators_.size() >= 4;
@@ -291,6 +317,92 @@ class KernelLowerer {
     }
     const int bytes = static_cast<int>(type_size(type, tu_.real_t_bytes));
     return bytes != 0 ? bytes : 4;
+  }
+
+  // ---- lane dependence (which barriers only some lanes reach) ----
+  /// True when `e` can differ between the lanes of one group: it calls
+  /// get_local_id/get_global_id or reads a lane-dependent variable.
+  bool lane_dependent(const Expr& e) const {
+    if (e.kind == Expr::Kind::kCall &&
+        (e.name == "get_local_id" || e.name == "get_global_id")) {
+      return true;
+    }
+    if (e.kind == Expr::Kind::kIdent && lane_vars_.count(e.name) != 0) {
+      return true;
+    }
+    for (const auto& k : e.kids) {
+      if (k && lane_dependent(*k)) return true;
+    }
+    return false;
+  }
+
+  /// A for loop whose trip count can differ between lanes: its start value,
+  /// bound or stride reads a lane-dependent value.
+  bool loop_diverges(const Stmt& s) const {
+    // The right-hand side of `i = start`, `i < bound` and `i += stride`.
+    const auto rhs = [](const Expr* e) -> const Expr* {
+      return e && e->kind == Expr::Kind::kBinary ? e->kids[1].get() : nullptr;
+    };
+    const Stmt* init = s.for_init.get();
+    const Expr* start = !init ? nullptr
+                        : init->kind == Stmt::Kind::kDecl
+                            ? init->init.get()
+                            : rhs(init->cond.get());
+    for (const Expr* e : {start, rhs(s.cond.get()), rhs(s.step.get())}) {
+      if (e && lane_dependent(*e)) return true;
+    }
+    return false;
+  }
+
+  /// One round of the lane-dependence fixpoint: a variable becomes
+  /// lane-dependent when it is assigned a lane-dependent value, or assigned
+  /// at all under lane-divergent control flow.
+  void taint_list(const std::vector<StmtPtr>& body, bool divergent) {
+    for (const auto& s : body) {
+      if (s) taint(*s, divergent);
+    }
+  }
+
+  void taint(const Stmt& s, bool divergent) {
+    switch (s.kind) {
+      case Stmt::Kind::kDecl:
+        if (s.init && (divergent || lane_dependent(*s.init))) {
+          lane_vars_.insert(s.name);
+        }
+        break;
+      case Stmt::Kind::kExpr:
+        if (s.cond) taint_assignment(*s.cond, divergent);
+        break;
+      case Stmt::Kind::kIf:
+      case Stmt::Kind::kWhile: {
+        const bool d = divergent || lane_dependent(*s.cond);
+        taint_list(s.body, d);
+        taint_list(s.else_body, d);
+        break;
+      }
+      case Stmt::Kind::kFor: {
+        const bool d = divergent || loop_diverges(s);
+        if (s.for_init) taint(*s.for_init, divergent);
+        if (s.step) taint_assignment(*s.step, d);
+        taint_list(s.body, d);
+        break;
+      }
+      case Stmt::Kind::kBlock:
+        taint_list(s.body, divergent);
+        break;
+      default:
+        break;
+    }
+  }
+
+  void taint_assignment(const Expr& e, bool divergent) {
+    const bool assigns = e.kind == Expr::Kind::kBinary && is_assignment(e.name);
+    const bool steps =
+        e.kind == Expr::Kind::kUnary && (e.name == "++" || e.name == "--");
+    if ((!assigns && !steps) || e.kids[0]->kind != Expr::Kind::kIdent) return;
+    if (divergent || (assigns && lane_dependent(*e.kids[1]))) {
+      lane_vars_.insert(e.kids[0]->name);
+    }
   }
 
   // ---- identifier usage ----
@@ -345,8 +457,11 @@ class KernelLowerer {
     return os.str();
   }
 
-  // ---- affine evaluation (with load side effects) ----
-  Affine affine_of(const Expr& e) {
+  // ---- affine evaluation ----
+  /// The affine form of `e`. With `emit`, the loads in it are recorded as
+  /// references and segment loads become seg#/gather# terms; without, a load
+  /// is simply unknown.
+  Affine affine_of(const Expr& e, bool emit = true) {
     switch (e.kind) {
       case Expr::Kind::kIntLit:
         return aff_const(e.ival);
@@ -362,37 +477,32 @@ class KernelLowerer {
         return aff_unknown();
       }
       case Expr::Kind::kUnary:
-        if (e.name == "-") return aff_scale(affine_of(*e.kids[0]), -1);
-        if (e.name == "++" || e.name == "--") return affine_of(*e.kids[0]);
+        if (e.name == "-") return aff_scale(affine_of(*e.kids[0], emit), -1);
+        if (e.name == "++" || e.name == "--") {
+          return affine_of(*e.kids[0], emit);
+        }
         return aff_unknown();
       case Expr::Kind::kBinary: {
-        if (e.name == "+") {
-          return aff_add(affine_of(*e.kids[0]), affine_of(*e.kids[1]));
-        }
-        if (e.name == "-") {
-          return aff_add(affine_of(*e.kids[0]), affine_of(*e.kids[1]), -1);
+        if (e.name == "+" || e.name == "-") {
+          return aff_add(affine_of(*e.kids[0], emit),
+                         affine_of(*e.kids[1], emit), e.name == "+" ? 1 : -1);
         }
         if (e.name == "*") {
-          Affine l = affine_of(*e.kids[0]);
-          Affine r = affine_of(*e.kids[1]);
-          if (aff_is_const(r)) return scaled(l, r.c);
-          if (aff_is_const(l)) return scaled(r, l.c);
-          return aff_unknown();
+          Affine l = affine_of(*e.kids[0], emit);
+          Affine r = affine_of(*e.kids[1], emit);
+          if (aff_is_const(l)) std::swap(l, r);
+          if (!aff_is_const(r)) return aff_unknown();
+          return emit ? scaled(l, r.c) : aff_scale(l, r.c);
         }
         return aff_unknown();
       }
       case Expr::Kind::kCast:
-        return affine_of(*e.kids[0]);
-      case Expr::Kind::kCall: {
-        if (e.name == "get_local_id") return aff_term("lane");
-        if (e.name == "get_group_id") return aff_term("group");
-        if (e.name == "get_num_groups") return aff_term("ngroups");
-        if (e.name == "get_global_id") return aff_term("row");
-        return aff_unknown();
-      }
+        return affine_of(*e.kids[0], emit);
+      case Expr::Kind::kCall:
+        return aff_of_call(e.name);
       case Expr::Kind::kIndex: {
         // An int load used in address arithmetic: a CSR segment value.
-        const BufRef b = resolve_buffer(*e.kids[0]);
+        const BufRef b = emit ? resolve_buffer(*e.kids[0]) : BufRef{};
         if (b.ok && b.space == MemSpace::kGlobal) {
           emit_access(e, /*is_store=*/false);
           const std::string tag = "seg#" + std::to_string(seg_id_++);
@@ -731,7 +841,7 @@ class KernelLowerer {
         BarrierIR b;
         b.freq = freq_;
         b.hot = freq_.per_chunk > 0;
-        b.divergent = divergent_depth_ > 0;
+        b.divergent = divergent_depth_ > 0 || lane_loop_depth_ > 0;
         b.line = s.line;
         out_.barriers.push_back(b);
         ++interval_;  // a barrier opens a new MHP interval
@@ -747,6 +857,7 @@ class KernelLowerer {
   void decl(const Stmt& s) {
     if (s.init) mark_used_expr(*s.init);
     if (s.array_extent) {
+      mark_used_expr(*s.array_extent);
       long elems = -1;
       Affine ext = affine_of(*s.array_extent);
       if (aff_is_const(ext)) elems = ext.c;
@@ -1141,7 +1252,7 @@ class KernelLowerer {
   void if_stmt(const Stmt& s) {
     if (s.cond) mark_used_expr(*s.cond);
     const Expr& c = *s.cond;
-    bool zero = false, divergent = false;
+    bool zero = false;
     long lane_bound = 0;
 
     if (c.kind == Expr::Kind::kBinary) {
@@ -1162,9 +1273,6 @@ class KernelLowerer {
           out_.row_bound_var = c.kids[1]->name;
         }
       }
-      if (!zero && (l.coeff("lane") != 0 || lane_coeff_of(l) != 0)) {
-        divergent = true;
-      }
       // `if (lane < C)` bounds the lane id of every reference in the body.
       if (c.name == "<" && l.ok && l.c == 0 && l.t.size() == 1 &&
           l.coeff("lane") == 1 && aff_is_const(r) && r.c > 0) {
@@ -1172,10 +1280,14 @@ class KernelLowerer {
       }
     }
 
+    // Empty-row and launch-guard exits are not lane guards.
+    const bool divergent = !zero && lane_dependent(c);
+
     // `if (lx == 0) cholesky_solve_inplace(smat, svec);` — the single-lane
     // solve; its flops are priced by the profile, not per statement.
     if (divergent && c.kind == Expr::Kind::kBinary && c.name == "==" &&
-        s.body.size() == 1 && s.body[0]->kind == Stmt::Kind::kExpr &&
+        s.else_body.empty() && s.body.size() == 1 &&
+        s.body[0]->kind == Stmt::Kind::kExpr &&
         s.body[0]->cond && s.body[0]->cond->kind == Expr::Kind::kCall) {
       const Expr& call = *s.body[0]->cond;
       if (call.name != "barrier" && call.name.rfind("get_", 0) != 0) {
@@ -1192,48 +1304,13 @@ class KernelLowerer {
     stmt_list(s.body);
     if (lane_bound > 0) lane_bound_stack_.pop_back();
     if (zero) --zero_depth_;
+    stmt_list(s.else_body);  // the other lanes: just as divergent
     if (divergent) --divergent_depth_;
-    stmt_list(s.else_body);
   }
 
-  /// affine_of without load side effects (conditions only compare
-  /// already-declared values in the generated kernels).
-  Affine affine_of_probe(const Expr& e) {
-    if (e.kind == Expr::Kind::kIndex) return aff_unknown();
-    switch (e.kind) {
-      case Expr::Kind::kIntLit: return aff_const(e.ival);
-      case Expr::Kind::kIdent: {
-        auto it = env_.find(e.name);
-        if (it != env_.end() && it->second.kind == Sym::Kind::kAffine) {
-          return it->second.aff;
-        }
-        long dv = 0;
-        if (eval_define(e.name, tu_.defines, dv)) return aff_const(dv);
-        return aff_unknown();
-      }
-      case Expr::Kind::kBinary:
-        if (e.name == "+") {
-          return aff_add(affine_of_probe(*e.kids[0]),
-                         affine_of_probe(*e.kids[1]));
-        }
-        if (e.name == "-") {
-          return aff_add(affine_of_probe(*e.kids[0]),
-                         affine_of_probe(*e.kids[1]), -1);
-        }
-        if (e.name == "*") {
-          Affine l = affine_of_probe(*e.kids[0]);
-          Affine r = affine_of_probe(*e.kids[1]);
-          if (aff_is_const(r)) return aff_scale(l, r.c);
-          if (aff_is_const(l)) return aff_scale(r, l.c);
-          return aff_unknown();
-        }
-        return aff_unknown();
-      case Expr::Kind::kCast:
-        return affine_of_probe(*e.kids[0]);
-      default:
-        return aff_unknown();
-    }
-  }
+  /// affine_of without load side effects (conditions and loop headers only
+  /// compare already-declared values in the generated kernels).
+  Affine affine_of_probe(const Expr& e) { return affine_of(e, false); }
 
   bool body_exits(const std::vector<StmtPtr>& body) const {
     for (const auto& s : body) {
@@ -1405,9 +1482,12 @@ class KernelLowerer {
     out_.loops.push_back(lir);
 
     const Freq saved = freq_;
+    const bool lane_loop = loop_diverges(s);
     freq_ = freq_.times(mult);
     loops_.push_back(frame);
+    if (lane_loop) ++lane_loop_depth_;
     stmt_list(s.body);
+    if (lane_loop) --lane_loop_depth_;
     flush_folds();
     loops_.pop_back();
     freq_ = saved;
@@ -1460,8 +1540,10 @@ class KernelLowerer {
   std::map<std::string, Fold> folds_;
   std::vector<LoopFrame> loops_;
   std::vector<long> lane_bound_stack_;
+  std::set<std::string> lane_vars_;  // lane-dependent variables
   Freq freq_;
-  int divergent_depth_ = 0;
+  int divergent_depth_ = 0;   // lane-divergent if/else branches
+  int lane_loop_depth_ = 0;   // loops whose trip count varies across lanes
   int zero_depth_ = 0;
   int interval_ = 0;
   int order_ = 0;

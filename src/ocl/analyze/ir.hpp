@@ -120,7 +120,7 @@ struct RefIR {
   int bank_conflict = 1;    // modeled scratch-pad conflict degree (local)
   bool hot = false;         // under a per-nnz / chunk-body loop
   bool lane_partitioned = false;  // executed inside a lane-partitioned loop
-  bool divergent_guard = false;   // under lane-dependent control flow
+  bool divergent_guard = false;   // under a lane-divergent if/else branch
   bool zero_weight = false;       // in an empty-row early-exit branch
   int loop_depth = 0;
   int line = 0;
@@ -171,6 +171,8 @@ struct OpIR {
 struct BarrierIR {
   Freq freq;       // per enclosing chunk/row
   bool hot = false;  // inside the chunked staging loop (priced)
+  /// Reached by a lane-dependent subset of the group: under a lane-divergent
+  /// if/else branch, or in a loop whose trip count varies across lanes.
   bool divergent = false;
   int line = 0;
 };

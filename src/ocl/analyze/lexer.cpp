@@ -5,16 +5,16 @@
 
 namespace alsmf::ocl::analyze {
 
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
+namespace {
 
 bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-bool is_identifier(const Token& t) {
-  return !t.text.empty() && is_ident_start(t.text[0]);
+}  // namespace
+
+bool is_ident_start(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
 }
 
 std::string strip_comments(const std::string& source) {
@@ -112,6 +112,10 @@ std::map<std::string, std::string> collect_defines(const std::string& code) {
 
 namespace {
 
+bool eval_const_expr(const std::vector<Token>& toks, std::size_t& pos,
+                     const std::map<std::string, std::string>& defines,
+                     int depth, long& out);
+
 bool eval_atom(const std::vector<Token>& toks, std::size_t& pos,
                const std::map<std::string, std::string>& defines, int depth,
                long& out) {
@@ -151,8 +155,8 @@ bool eval_atom(const std::vector<Token>& toks, std::size_t& pos,
   return true;
 }
 
-}  // namespace
-
+/// Integer literals, #define'd names, unary minus, + - * / and parens,
+/// left to right; advances `pos`.
 bool eval_const_expr(const std::vector<Token>& toks, std::size_t& pos,
                      const std::map<std::string, std::string>& defines,
                      int depth, long& out) {
@@ -178,6 +182,8 @@ bool eval_const_expr(const std::vector<Token>& toks, std::size_t& pos,
   out = acc;
   return true;
 }
+
+}  // namespace
 
 bool eval_define(const std::string& name,
                  const std::map<std::string, std::string>& defines, long& out) {

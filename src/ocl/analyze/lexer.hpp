@@ -1,8 +1,6 @@
-// Shared lexical layer of the OpenCL-C tooling: the tokenizer, comment
-// stripper, `#define` table, constant-expression evaluator and type sizing
-// that both the structural lint (ocl/kernel_lint) and the static analyzer
-// (ocl/analyze) are built on. One lexer means the two layers can never
-// disagree about what a token is.
+// Lexical layer of the OpenCL-C analyzer: the tokenizer, comment stripper,
+// `#define` table, constant evaluation and type sizing that the parser
+// (parser.hpp) and the IR lowering (ir.hpp) are built on.
 #pragma once
 
 #include <map>
@@ -18,8 +16,6 @@ struct Token {
 };
 
 bool is_ident_start(char c);
-bool is_ident_char(char c);
-bool is_identifier(const Token& t);
 
 /// Replaces // and /* */ comments (and nothing else) with whitespace,
 /// preserving line numbers.
@@ -33,14 +29,9 @@ std::vector<Token> tokenize(const std::string& code);
 /// comment-stripped code. Function-like macros are skipped.
 std::map<std::string, std::string> collect_defines(const std::string& code);
 
-/// Tiny constant-expression evaluator: integer literals, #define'd names
-/// (resolved recursively), unary minus, + - * / and parens. Returns false
-/// when the expression involves anything else. Advances `pos`.
-bool eval_const_expr(const std::vector<Token>& toks, std::size_t& pos,
-                     const std::map<std::string, std::string>& defines,
-                     int depth, long& out);
-
-/// Evaluates a whole #define'd name to an integer, if possible.
+/// Evaluates a whole #define'd name to an integer, if possible: integer
+/// literals, #define'd names (resolved recursively), unary minus, + - * /
+/// and parens. Returns false when the value involves anything else.
 bool eval_define(const std::string& name,
                  const std::map<std::string, std::string>& defines, long& out);
 

@@ -221,7 +221,9 @@ class Parser {
     if (t == "barrier" && peek(1) == "(") {
       s->kind = Stmt::Kind::kBarrier;
       advance();
-      skip_balanced_parens();
+      expect("(");
+      s->cond = parse_expr();  // the fence flags
+      expect(")");
       expect(";");
       return s;
     }

@@ -1,6 +1,5 @@
-// Recursive-descent parser for the generated-kernel OpenCL-C subset.
-// Reuses the lint lexer (lexer.hpp) so lint and analysis can never
-// tokenize differently.
+// Recursive-descent parser for the generated-kernel OpenCL-C subset, over
+// the tokens of lexer.hpp.
 #pragma once
 
 #include <string>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
@@ -105,6 +106,19 @@ TEST(Cli, MalformedNumbersThrowNamingFlagAndValue) {
   // Absent flags still fall back to the default.
   EXPECT_EQ(d.get_long("iters", 10), 10);
   EXPECT_DOUBLE_EQ(d.get_double("alpha", 2.5), 2.5);
+}
+
+TEST(Cli, UnknownFlagNamesTheFirstUndeclaredFlag) {
+  const auto args =
+      make({"prog", "train", "--ratings", "r.txt", "--iter", "1", "--wr"});
+  EXPECT_FALSE(args.unknown_flag({"ratings", "iters", "wr"}) == std::nullopt);
+  EXPECT_EQ(args.unknown_flag({"ratings", "iters", "wr"}).value_or(""),
+            "iter");
+  EXPECT_EQ(args.unknown_flag({"ratings", "iter", "wr"}), std::nullopt);
+  // Positional arguments are not flags; no flags at all is always fine.
+  EXPECT_EQ(make({"prog", "serve"}).unknown_flag({}), std::nullopt);
+  EXPECT_EQ(make({"prog", "--max-wait-us=200"}).unknown_flag({"model"}),
+            std::optional<std::string>("max-wait-us"));
 }
 
 TEST(Cli, LastValueWins) {

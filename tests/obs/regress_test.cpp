@@ -15,7 +15,7 @@ RegressReport baseline_report() {
   r.smoke = true;
   r.add("modeled_seconds", 1.0, "s");
   r.add("rmse", 0.8, "rmse");
-  r.add("qps", 1000.0, "qps", /*lower_is_better=*/false, /*gate=*/false);
+  r.add("recall", 0.6, "recall", /*lower_is_better=*/false);
   r.add("completed", 500.0, "count", /*lower_is_better=*/false);
   return r;
 }
@@ -63,21 +63,10 @@ TEST(Regress, HigherIsBetterDirection) {
   EXPECT_TRUE(compare_reports(base, cur, 0.25).ok);
 }
 
-TEST(Regress, UngatedMetricsAreInformational) {
+TEST(Regress, MissingBaselineMetricFails) {
   const RegressReport base = baseline_report();
   RegressReport cur = baseline_report();
-  cur.metrics[2].value = 1.0;  // qps collapsed, but gate=false
-  const CompareResult result = compare_reports(base, cur, 0.1);
-  EXPECT_TRUE(result.ok);
-  EXPECT_NE(result.summary().find("[info]"), std::string::npos);
-}
-
-TEST(Regress, MissingGatedMetricFailsMissingUngatedDoesNot) {
-  const RegressReport base = baseline_report();
-  RegressReport cur = baseline_report();
-  cur.metrics.erase(cur.metrics.begin() + 2);  // drop qps (gate=false)
-  EXPECT_TRUE(compare_reports(base, cur, 0.1).ok);
-  cur.metrics.erase(cur.metrics.begin());  // drop modeled_seconds (gated)
+  cur.metrics.erase(cur.metrics.begin());  // drop modeled_seconds
   const CompareResult result = compare_reports(base, cur, 0.1);
   EXPECT_FALSE(result.ok);
   ASSERT_EQ(result.missing.size(), 1u);
@@ -109,7 +98,6 @@ TEST(Regress, JsonRoundTripPreservesEverything) {
     EXPECT_EQ(parsed.metrics[i].unit, base.metrics[i].unit);
     EXPECT_EQ(parsed.metrics[i].lower_is_better,
               base.metrics[i].lower_is_better);
-    EXPECT_EQ(parsed.metrics[i].gate, base.metrics[i].gate);
   }
 }
 

@@ -120,6 +120,47 @@ TEST(AnalyzeIr, NoGlobalStoresInHotLoops) {
   }
 }
 
+TEST(AnalyzeIr, BarriersOnlySomeLanesReachAreDivergent) {
+  // A direct get_local_id() call in the condition.
+  KernelIR ir = lower_one(
+      "__kernel void f(__local float* t) {\n"
+      "  if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); }\n"
+      "}\n");
+  ASSERT_EQ(ir.barriers.size(), 1u);
+  EXPECT_TRUE(ir.barriers[0].divergent);
+
+  // The else branch of a lane test holds the other lanes.
+  ir = lower_one(
+      "__kernel void f(__local float* t) {\n"
+      "  const int lx = get_local_id(0);\n"
+      "  if (lx == 0) { t[0] = 1; } else {\n"
+      "    t[1] = 2;\n"
+      "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+      "  }\n"
+      "}\n");
+  ASSERT_EQ(ir.barriers.size(), 1u);
+  EXPECT_TRUE(ir.barriers[0].divergent);
+  ASSERT_EQ(ir.refs.size(), 2u);
+  EXPECT_EQ(ir.refs[1].line, 4);
+  EXPECT_TRUE(ir.refs[1].divergent_guard);
+
+  // A loop bound assigned under a lane test varies across lanes; the same
+  // bound assigned under a group test does not.
+  const auto bounded_by = [](const std::string& id) {
+    return "__kernel void f(__local float* t) {\n"
+           "  int lim = 0;\n"
+           "  if (" + id + "(0) < 4) lim = 8;\n"
+           "  for (int i = 0; i < lim; ++i) { barrier(CLK_LOCAL_MEM_FENCE); }\n"
+           "}\n";
+  };
+  ir = lower_one(bounded_by("get_local_id"));
+  ASSERT_EQ(ir.barriers.size(), 1u);
+  EXPECT_TRUE(ir.barriers[0].divergent);
+  ir = lower_one(bounded_by("get_group_id"));
+  ASSERT_EQ(ir.barriers.size(), 1u);
+  EXPECT_FALSE(ir.barriers[0].divergent);
+}
+
 TEST(AnalyzeIr, UnanalyzableLoopThrowsParseErrorWithLine) {
   const std::string src =
       "__kernel void f(__global float* out) {\n"

@@ -1,44 +1,17 @@
-// Structural-lint regression tests for the limit checks and the taint
-// rules around them: work-group size limits, control-dependent divergence,
-// and the #define/typedef arithmetic the __local sizing relies on.
+// Deep-lint regression tests for the taint rules and the __local sizing:
+// control-dependent divergence, and the #define/typedef arithmetic the
+// capacity check relies on.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "ocl/kernel_lint.hpp"
+#include "ocl/analyze/deep_lint.hpp"
 
-namespace alsmf::ocl {
+namespace alsmf::ocl::analyze {
 namespace {
 
-TEST(KernelLintLimits, FlagsReqdWorkGroupSizeOverDeviceMaximum) {
-  const std::string src =
-      "__attribute__((reqd_work_group_size(16, 16, 1)))\n"
-      "__kernel void f(__global float* out) { out[0] = 1; }\n";
-  LintLimits limits;
-  limits.max_work_group_size = 128;
-  const auto r = lint_kernel_source(src, 1, limits);
-  ASSERT_FALSE(r.clean());
-  EXPECT_NE(r.to_string().find("256"), std::string::npos);
-  EXPECT_NE(r.to_string().find("128"), std::string::npos);
-
-  limits.max_work_group_size = 256;
-  EXPECT_TRUE(lint_kernel_source(src, 1, limits).clean());
-  // 0 = unknown device: check skipped.
-  EXPECT_TRUE(lint_kernel_source(src, 1).clean());
-}
-
-TEST(KernelLintLimits, FlagsGeneratedWsOverDeviceMaximum) {
-  const std::string src =
-      "#define WS 512\n"
-      "__kernel void f(__global float* out) { out[0] = 1; }\n";
-  LintLimits limits;
-  limits.max_work_group_size = 256;
-  const auto r = lint_kernel_source(src, 1, limits);
-  ASSERT_FALSE(r.clean());
-  EXPECT_NE(r.to_string().find("WS=512"), std::string::npos);
-
-  limits.max_work_group_size = 512;
-  EXPECT_TRUE(lint_kernel_source(src, 1, limits).clean());
+bool mentions(const LintReport& r, const std::string& needle) {
+  return r.to_string().find(needle) != std::string::npos;
 }
 
 TEST(KernelLintLimits, BarrierInLoopBoundedByControlDependentValue) {
@@ -52,9 +25,11 @@ TEST(KernelLintLimits, BarrierInLoopBoundedByControlDependentValue) {
       "    barrier(CLK_LOCAL_MEM_FENCE);\n"
       "  }\n"
       "}\n";
-  const auto r = lint_kernel_source(src, 1);
+  const auto r = deep_lint_source(src);
   ASSERT_FALSE(r.clean());
-  EXPECT_NE(r.to_string().find("lane-divergent"), std::string::npos);
+  EXPECT_TRUE(mentions(r, "line 5: deep: f: barrier() inside lane-divergent"))
+      << r.to_string();
+  EXPECT_FALSE(mentions(r, "unanalyzable")) << r.to_string();
 }
 
 TEST(KernelLintLimits, UniformControlDependenceStaysClean) {
@@ -64,10 +39,11 @@ TEST(KernelLintLimits, UniformControlDependenceStaysClean) {
       "  int lim = 0;\n"
       "  if (get_group_id(0) < 4) lim = 8;\n"
       "  for (int i = 0; i < lim; ++i) {\n"
+      "    t[i] = 0;\n"
       "    barrier(CLK_LOCAL_MEM_FENCE);\n"
       "  }\n"
       "}\n";
-  const auto r = lint_kernel_source(src, 1);
+  const auto r = deep_lint_source(src);
   EXPECT_TRUE(r.clean()) << r.to_string();
 }
 
@@ -84,13 +60,14 @@ TEST(KernelLintLimits, SizesLocalsThroughChainedDefines) {
       "  tile[0] = 1;\n"
       "  out[0] = tile[0];\n"
       "}\n";
-  LintLimits limits;
-  limits.local_mem_bytes = 256;
-  const auto r = lint_kernel_source(src, 1, limits);
+  DeepLintOptions options;
+  options.local_capacity_bytes = 383;
+  const auto r = deep_lint_source(src, options);
   ASSERT_FALSE(r.clean());
-  EXPECT_NE(r.to_string().find("360"), std::string::npos);
-  limits.local_mem_bytes = 512;
-  EXPECT_TRUE(lint_kernel_source(src, 1, limits).clean());
+  // 360 bytes, padded to the 64-byte allocation granule.
+  EXPECT_TRUE(mentions(r, "need 384 bytes")) << r.to_string();
+  options.local_capacity_bytes = 384;
+  EXPECT_TRUE(deep_lint_source(src, options).clean());
 }
 
 TEST(KernelLintLimits, RedefinedRealTypedefChangesElementWidth) {
@@ -103,11 +80,11 @@ TEST(KernelLintLimits, RedefinedRealTypedefChangesElementWidth) {
       "  a[0] = 1;\n"
       "  out[0] = a[0];\n"
       "}\n";
-  LintLimits limits;
-  limits.local_mem_bytes = 384;
-  EXPECT_FALSE(lint_kernel_source(src, 1, limits).clean());
-  limits.local_mem_bytes = 512;
-  EXPECT_TRUE(lint_kernel_source(src, 1, limits).clean());
+  DeepLintOptions options;
+  options.local_capacity_bytes = 384;
+  EXPECT_FALSE(deep_lint_source(src, options).clean());
+  options.local_capacity_bytes = 512;
+  EXPECT_TRUE(deep_lint_source(src, options).clean());
 }
 
 TEST(KernelLintLimits, NonConstantExtentIsNotSilentlyUndercounted) {
@@ -118,13 +95,17 @@ TEST(KernelLintLimits, NonConstantExtentIsNotSilentlyUndercounted) {
       "typedef float real_t;\n"
       "__kernel void f(__global real_t* out, int n) {\n"
       "  __local real_t big[1024];\n"  // 4096 bytes on its own
+      "  __local real_t dyn[n];\n"
       "  big[0] = 1;\n"
       "  out[0] = big[0];\n"
       "}\n";
-  LintLimits limits;
-  limits.local_mem_bytes = 2048;
-  EXPECT_FALSE(lint_kernel_source(src, 1, limits).clean());
+  DeepLintOptions options;
+  options.local_capacity_bytes = 2048;
+  const auto r = deep_lint_source(src, options);
+  EXPECT_TRUE(mentions(r, "'dyn' has a statically unsizable extent"))
+      << r.to_string();
+  EXPECT_TRUE(mentions(r, "need 4096 bytes")) << r.to_string();
 }
 
 }  // namespace
-}  // namespace alsmf::ocl
+}  // namespace alsmf::ocl::analyze

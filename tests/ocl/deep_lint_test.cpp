@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "ocl/kernel_source.hpp"
+#include "testing/kernel_mutator.hpp"
 
 namespace alsmf::ocl::analyze {
 namespace {
@@ -27,11 +29,10 @@ TEST(DeepLint, GeneratedKernelsAreClean) {
   options.local_capacity_bytes = 48 * 1024;  // the paper's K20c scratch-pad
   for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
     const AlsVariant v = AlsVariant::from_mask(mask);
-    const LintReport r =
-        deep_lint_kernel_source(batched_kernel_source(v, c), options);
+    const LintReport r = deep_lint_source(batched_kernel_source(v, c), options);
     EXPECT_TRUE(r.clean()) << v.name() << ":\n" << r.to_string();
   }
-  EXPECT_TRUE(deep_lint_kernel_source(flat_kernel_source(c), options).clean());
+  EXPECT_TRUE(deep_lint_source(flat_kernel_source(c), options).clean());
 }
 
 TEST(DeepLint, FlagsUncoalescedStoreInHotLoop) {
@@ -47,7 +48,7 @@ TEST(DeepLint, FlagsUncoalescedStoreInHotLoop) {
       "    out[col_idx[begin + z] * K] = (real_t)z;\n"
       "  }\n"
       "}\n";
-  const LintReport r = deep_lint_kernel_source(src);
+  const LintReport r = deep_lint_source(src);
   ASSERT_FALSE(r.clean());
   EXPECT_TRUE(mentions(r, "uncoalesced")) << r.to_string();
   EXPECT_TRUE(mentions(r, "'out'")) << r.to_string();
@@ -77,11 +78,11 @@ TEST(DeepLint, ProvesLocalOverflow) {
       "}\n";
   DeepLintOptions options;
   options.local_capacity_bytes = 8 * 1024;
-  const LintReport r = deep_lint_kernel_source(src, options);
+  const LintReport r = deep_lint_source(src, options);
   ASSERT_FALSE(r.clean());
   EXPECT_TRUE(mentions(r, "exceeding")) << r.to_string();
   options.local_capacity_bytes = 32 * 1024;
-  EXPECT_TRUE(deep_lint_kernel_source(src, options).clean());
+  EXPECT_TRUE(deep_lint_source(src, options).clean());
 }
 
 TEST(DeepLint, FlagsWorkGroupNarrowerThanK) {
@@ -92,7 +93,7 @@ TEST(DeepLint, FlagsWorkGroupNarrowerThanK) {
       "  const int lx = get_local_id(0);\n"
       "  if (lx < K) out[lx] = (real_t)1;\n"
       "}\n";
-  const LintReport r = deep_lint_kernel_source(src);
+  const LintReport r = deep_lint_source(src);
   ASSERT_FALSE(r.clean());
   EXPECT_TRUE(mentions(r, "smaller than K")) << r.to_string();
 }
@@ -114,7 +115,7 @@ TEST(DeepLint, FlagsStagedTileReadWithoutBarrier) {
       "  for (int z = 0; z < omega; ++z) acc += tile[z];\n"
       "  if (lx == 0) out[u] = acc;\n"
       "}\n";
-  const LintReport r = deep_lint_kernel_source(src);
+  const LintReport r = deep_lint_source(src);
   ASSERT_FALSE(r.clean());
   EXPECT_TRUE(mentions(r, "without a barrier")) << r.to_string();
 
@@ -122,8 +123,8 @@ TEST(DeepLint, FlagsStagedTileReadWithoutBarrier) {
   std::string fixed = src;
   const std::string read_loop = "  for (int z = 0; z < omega; ++z)";
   fixed.insert(fixed.find(read_loop), "  barrier(CLK_LOCAL_MEM_FENCE);\n");
-  EXPECT_TRUE(deep_lint_kernel_source(fixed).clean())
-      << deep_lint_kernel_source(fixed).to_string();
+  EXPECT_TRUE(deep_lint_source(fixed).clean())
+      << deep_lint_source(fixed).to_string();
 }
 
 TEST(DeepLint, FlagsUnusedKernelArgument) {
@@ -132,10 +133,52 @@ TEST(DeepLint, FlagsUnusedKernelArgument) {
       "                const real_t lambda) {\n"
       "  out[get_global_id(0)] = lambda;\n"
       "}\n";
-  const LintReport r = deep_lint_kernel_source(src);
+  const LintReport r = deep_lint_source(src);
   ASSERT_FALSE(r.clean());
   EXPECT_TRUE(mentions(r, "'dead' is never used")) << r.to_string();
   EXPECT_FALSE(mentions(r, "'lambda'")) << r.to_string();
+}
+
+TEST(DeepLint, FlagsGeneratedBarrierMovedUnderTheLaneZeroSolve) {
+  // The barrier after the lane-0 S3 solve, moved inside its branch: only
+  // lane 0 reaches it, so the group never leaves it.
+  alsmf::testing::KernelMutation m;
+  m.name = "barrier_under_lane0_solve";
+  m.kernel = kernel_name(AlsVariant::batch_local_reg());
+  m.find =
+      "    if (lx == 0) cholesky_solve_inplace(smat, svec);\n"
+      "    barrier(CLK_LOCAL_MEM_FENCE);\n";
+  m.replace =
+      "    if (lx == 0) {\n"
+      "      cholesky_solve_inplace(smat, svec);\n"
+      "      barrier(CLK_LOCAL_MEM_FENCE);\n"
+      "    }\n";
+  const std::string base = alsmf::testing::base_source(m, KernelConfig{});
+  const auto at = static_cast<std::ptrdiff_t>(base.find(m.find));
+  const int barrier_line =
+      3 + static_cast<int>(std::count(base.begin(), base.begin() + at, '\n'));
+
+  const LintReport r =
+      deep_lint_source(alsmf::testing::apply_mutation(base, m));
+  ASSERT_EQ(r.issues.size(), 1u) << r.to_string();
+  EXPECT_EQ(r.issues[0].line, barrier_line) << r.to_string();
+  EXPECT_TRUE(mentions(r, "lane-divergent")) << r.to_string();
+  EXPECT_FALSE(mentions(r, "unanalyzable")) << r.to_string();
+}
+
+TEST(DeepLint, FlagsLocalFenceWithoutLocalMemoryExtraKernelAndTab) {
+  LintReport r = deep_lint_source(
+      "__kernel void f(__global float* out) {\n"
+      "  out[0] = 1;\n"
+      "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+      "}\n");
+  ASSERT_EQ(r.issues.size(), 1u) << r.to_string();
+  EXPECT_EQ(r.issues[0].line, 3);
+  EXPECT_TRUE(mentions(r, "local fence without any __local")) << r.to_string();
+
+  r = deep_lint_source("__kernel void f() {}\n__kernel void g() {\n\t}\n");
+  EXPECT_TRUE(mentions(r, "found 2")) << r.to_string();
+  EXPECT_TRUE(mentions(r, "line 3: deep: tab character")) << r.to_string();
 }
 
 TEST(DeepLint, UnanalyzableSourceFailsTheGate) {
@@ -146,7 +189,7 @@ TEST(DeepLint, UnanalyzableSourceFailsTheGate) {
       "  int i = 0;\n"
       "  while (i < 4) { out[i] = (real_t)i; ++i; }\n"
       "}\n";
-  const LintReport r = deep_lint_kernel_source(src);
+  const LintReport r = deep_lint_source(src);
   ASSERT_FALSE(r.clean());
   EXPECT_TRUE(mentions(r, "unanalyzable")) << r.to_string();
 }

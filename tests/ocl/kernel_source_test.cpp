@@ -4,13 +4,21 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "ocl/analyze/deep_lint.hpp"
+#include "ocl/analyze/lexer.hpp"
 #include "ocl/kernel_flavors.hpp"
-#include "ocl/kernel_lint.hpp"
 
 namespace alsmf::ocl {
 namespace {
+
+using analyze::deep_lint_source;
+using analyze::DeepLintOptions;
+using analyze::LintReport;
 
 KernelConfig config(int k = 10, int ws = 32) {
   KernelConfig c;
@@ -23,7 +31,7 @@ TEST(KernelSource, AllVariantsLintClean) {
   for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
     const AlsVariant v = AlsVariant::from_mask(mask);
     const std::string src = batched_kernel_source(v, config());
-    const LintReport report = lint_kernel_source(src, 1);
+    const LintReport report = deep_lint_source(src);
     EXPECT_TRUE(report.clean())
         << v.name() << ":\n" << report.to_string();
   }
@@ -31,7 +39,7 @@ TEST(KernelSource, AllVariantsLintClean) {
 
 TEST(KernelSource, FlatLintClean) {
   const std::string src = flat_kernel_source(config());
-  const LintReport report = lint_kernel_source(src, 1);
+  const LintReport report = deep_lint_source(src);
   EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
@@ -126,7 +134,7 @@ TEST(KernelSource, WritesOneFilePerKernelFlavor) {
     std::ifstream in(entry.path());
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-    EXPECT_TRUE(lint_kernel_source(content, 1).clean()) << entry.path();
+    EXPECT_TRUE(deep_lint_source(content).clean()) << entry.path();
     ++count;
   }
   EXPECT_EQ(count, flavors);
@@ -163,12 +171,34 @@ TEST(KernelSource, FlatRejectsBatchedGenerator) {
                alsmf::Error);
 }
 
+// The first unbalanced (), {} or [] in comment-stripped C text, as
+// "line N: ..."; "" when every delimiter pairs up.
+std::string unbalanced_delimiter(const std::string& text) {
+  const std::string code = analyze::strip_comments(text);
+  std::vector<std::pair<char, int>> open;
+  int line = 1;
+  for (char ch : code) {
+    if (ch == '\n') ++line;
+    if (ch == '(' || ch == '{' || ch == '[') open.push_back({ch, line});
+    if (ch != ')' && ch != '}' && ch != ']') continue;
+    const char want = ch == ')' ? '(' : (ch == '}' ? '{' : '[');
+    if (open.empty() || open.back().first != want) {
+      return "line " + std::to_string(line) + ": unbalanced '" + ch + "'";
+    }
+    open.pop_back();
+  }
+  if (open.empty()) return "";
+  return "line " + std::to_string(open.back().second) + ": unclosed '" +
+         open.back().first + "'";
+}
+
 TEST(HostDriver, StructurallySound) {
   const std::string src =
       host_driver_source(AlsVariant::batch_local_reg(), config());
-  // Balanced delimiters (reuse the lint's structural pass; 0 kernels).
-  const LintReport report = lint_kernel_source(src, 0);
-  EXPECT_TRUE(report.clean()) << report.to_string();
+  // Balanced delimiters (host C is not the OpenCL subset deep lint parses).
+  EXPECT_EQ(unbalanced_delimiter(src), "");
+  EXPECT_EQ(unbalanced_delimiter("int f() {\n  (void)0;\n"),
+            "line 1: unclosed '{'");
   // Loads the right kernel file and entry point, with build options.
   EXPECT_NE(src.find("als_update_batch_local_reg.cl"), std::string::npos);
   EXPECT_NE(src.find("clCreateKernel(prog, \"als_update_batch_local_reg\""),
@@ -190,74 +220,93 @@ TEST(HostDriver, WritesFile) {
   EXPECT_NE(content.find("#include <CL/cl.h>"), std::string::npos);
 }
 
-// --- lint self-tests ---
+// --- lint self-tests (deep lint) ---
+
+bool mentions(const LintReport& r, const std::string& needle) {
+  return r.to_string().find(needle) != std::string::npos;
+}
+
+// Lines of the lane-divergent barrier diagnostics in `r`.
+std::vector<int> divergent_barrier_lines(const LintReport& r) {
+  std::vector<int> lines;
+  for (const auto& issue : r.issues) {
+    if (issue.message.find("lane-divergent") != std::string::npos) {
+      lines.push_back(issue.line);
+    }
+  }
+  return lines;
+}
+
+const char* kDefines = "#define K 10\n#define WS 32\n";
 
 TEST(KernelLint, DetectsUnbalancedBraces) {
-  const auto r = lint_kernel_source("__kernel void f() { if (1) { }", 1);
+  const auto r = deep_lint_source("__kernel void f() { if (1) { }");
   EXPECT_FALSE(r.clean());
+  EXPECT_TRUE(mentions(r, "unanalyzable")) << r.to_string();
 }
 
 TEST(KernelLint, DetectsMissingKernel) {
-  const auto r = lint_kernel_source("void helper() {}", 1);
+  const auto r = deep_lint_source("void helper() {}");
   EXPECT_FALSE(r.clean());
+  EXPECT_TRUE(mentions(r, "found 0")) << r.to_string();
 }
 
 TEST(KernelLint, IgnoresCommentsAndCountsKernels) {
-  const auto r = lint_kernel_source(
+  const auto r = deep_lint_source(
       "// not a real } brace\n/* __kernel in comment */\n"
-      "__kernel void f() { (void)0; }\n",
-      1);
+      "__kernel void f() { (void)0; }\n");
   EXPECT_TRUE(r.clean()) << r.to_string();
 }
 
 TEST(KernelLint, FlagsBarrierOutsideKernel) {
-  const auto r =
-      lint_kernel_source("void h() { barrier(0); }\n__kernel void f() {}", 1);
-  EXPECT_FALSE(r.clean());
+  const auto r = deep_lint_source(
+      "void h() { barrier(0); }\n__kernel void f() {}");
+  ASSERT_EQ(r.issues.size(), 1u) << r.to_string();
+  EXPECT_TRUE(mentions(r, "helper function 'h'")) << r.to_string();
+  EXPECT_EQ(r.issues[0].line, 1);
 }
 
-// --- divergent-barrier detection (tokenizer) ---
+// --- divergent-barrier detection ---
 
 TEST(KernelLint, FlagsBarrierInsideGetLocalIdConditional) {
-  const auto r = lint_kernel_source(
+  const auto r = deep_lint_source(
       "__kernel void f(__local float* t) {\n"
       "  if (get_local_id(0) == 0) {\n"
       "    barrier(CLK_LOCAL_MEM_FENCE);\n"
       "  }\n"
-      "}\n",
-      1);
-  ASSERT_FALSE(r.clean());
-  EXPECT_NE(r.to_string().find("lane-divergent"), std::string::npos);
-  EXPECT_EQ(r.issues[0].line, 3);
+      "}\n");
+  EXPECT_EQ(divergent_barrier_lines(r), std::vector<int>{3}) << r.to_string();
+  EXPECT_FALSE(mentions(r, "unanalyzable")) << r.to_string();
 }
 
 TEST(KernelLint, TracksLaneAliasesThroughAssignments) {
   // lx aliases get_local_id, p is derived from lx: both divergent.
-  const auto r = lint_kernel_source(
+  const auto r = deep_lint_source(
       "__kernel void f(__local float* t) {\n"
       "  const int lx = get_local_id(0);\n"
       "  const int p = lx * 2;\n"
       "  if (p < 4) barrier(CLK_LOCAL_MEM_FENCE);\n"
-      "}\n",
-      1);
-  ASSERT_FALSE(r.clean());
-  EXPECT_EQ(r.issues[0].line, 4);
+      "}\n");
+  EXPECT_EQ(divergent_barrier_lines(r), std::vector<int>{4}) << r.to_string();
+  EXPECT_FALSE(mentions(r, "unanalyzable")) << r.to_string();
 }
 
 TEST(KernelLint, FlagsBarrierInsideDivergentLoop) {
-  const auto r = lint_kernel_source(
-      "__kernel void f(__local float* t, int n) {\n"
-      "  for (int i = get_local_id(0); i < n; i += 32) {\n"
+  // Lanes at or past K run no trip of the lane-partitioned loop.
+  const auto r = deep_lint_source(
+      std::string(kDefines) +
+      "__kernel void f(__local float* t) {\n"
+      "  for (int i = get_local_id(0); i < K; i += WS) {\n"
       "    t[i] = 0;\n"
       "    barrier(CLK_LOCAL_MEM_FENCE);\n"
       "  }\n"
-      "}\n",
-      1);
-  EXPECT_FALSE(r.clean());
+      "}\n");
+  EXPECT_EQ(divergent_barrier_lines(r), std::vector<int>{6}) << r.to_string();
+  EXPECT_FALSE(mentions(r, "unanalyzable")) << r.to_string();
 }
 
 TEST(KernelLint, FlagsBarrierInDivergentElseBranch) {
-  const auto r = lint_kernel_source(
+  const auto r = deep_lint_source(
       "__kernel void f(__local float* t) {\n"
       "  const int lx = get_local_id(0);\n"
       "  if (lx == 0) {\n"
@@ -265,24 +314,24 @@ TEST(KernelLint, FlagsBarrierInDivergentElseBranch) {
       "  } else {\n"
       "    barrier(CLK_LOCAL_MEM_FENCE);\n"
       "  }\n"
-      "}\n",
-      1);
-  EXPECT_FALSE(r.clean());
+      "}\n");
+  EXPECT_EQ(divergent_barrier_lines(r), std::vector<int>{6}) << r.to_string();
+  EXPECT_FALSE(mentions(r, "unanalyzable")) << r.to_string();
 }
 
 TEST(KernelLint, AcceptsBarrierAfterDivergentScopeCloses) {
   // The generated kernels' shape: lane-strided loop, then a barrier at
   // group scope. Uniform (group-id based) conditions are also fine.
-  const auto r = lint_kernel_source(
-      "__kernel void f(__local float* t, int n) {\n"
+  const auto r = deep_lint_source(
+      std::string(kDefines) +
+      "__kernel void f(__local float* t) {\n"
       "  const int lx = get_local_id(0);\n"
       "  const int g = get_group_id(0);\n"
-      "  for (int i = lx; i < n; i += 32) t[i] = 0;\n"
+      "  for (int i = lx; i < K; i += WS) t[i] = 0;\n"
       "  if (lx == 0) t[0] = 1;\n"
       "  barrier(CLK_LOCAL_MEM_FENCE);\n"
       "  if (g == 0) { barrier(CLK_LOCAL_MEM_FENCE); }\n"
-      "}\n",
-      1);
+      "}\n");
   EXPECT_TRUE(r.clean()) << r.to_string();
 }
 
@@ -296,17 +345,17 @@ TEST(KernelLint, FlagsLocalDeclarationsOverCapacity) {
       "  __local real_t tile[K * K];\n"  // 1024 bytes
       "  __local real_t extra[K];\n"     // + 64 bytes
       "}\n";
-  LintLimits limits;
-  limits.local_mem_bytes = 1024;
-  const auto r = lint_kernel_source(src, 1, limits);
+  DeepLintOptions options;
+  options.local_capacity_bytes = 1024;
+  const auto r = deep_lint_source(src, options);
   ASSERT_FALSE(r.clean());
-  EXPECT_NE(r.to_string().find("1088 bytes"), std::string::npos);
-  EXPECT_NE(r.to_string().find("1024 bytes"), std::string::npos);
+  EXPECT_TRUE(mentions(r, "1088 bytes")) << r.to_string();
+  EXPECT_TRUE(mentions(r, "1024-byte")) << r.to_string();
 
-  limits.local_mem_bytes = 2048;
-  EXPECT_TRUE(lint_kernel_source(src, 1, limits).clean());
-  // Limit 0 = unknown device: check skipped (existing call sites).
-  EXPECT_TRUE(lint_kernel_source(src, 1).clean());
+  options.local_capacity_bytes = 2048;
+  EXPECT_TRUE(deep_lint_source(src, options).clean());
+  // Capacity 0 = unknown device: check skipped.
+  EXPECT_TRUE(deep_lint_source(src).clean());
 }
 
 TEST(KernelLint, CapacityUsesRealTypedefWidth) {
@@ -316,38 +365,39 @@ TEST(KernelLint, CapacityUsesRealTypedefWidth) {
       "__kernel void f() {\n"
       "  __local real_t a[100];\n"  // 800 bytes as double
       "}\n";
-  LintLimits limits;
-  limits.local_mem_bytes = 512;
-  EXPECT_FALSE(lint_kernel_source(src, 1, limits).clean());
-  limits.local_mem_bytes = 1024;
-  EXPECT_TRUE(lint_kernel_source(src, 1, limits).clean());
+  DeepLintOptions options;
+  options.local_capacity_bytes = 512;
+  EXPECT_FALSE(deep_lint_source(src, options).clean());
+  options.local_capacity_bytes = 1024;
+  EXPECT_TRUE(deep_lint_source(src, options).clean());
 }
 
 TEST(KernelLint, LocalPointerParametersAreExempt) {
   const std::string src =
       "void helper(__local float* a, __local float* b) { a[0] = b[0]; }\n"
       "__kernel void f(__local float* t) { helper(t, t); }\n";
-  LintLimits limits;
-  limits.local_mem_bytes = 1;  // any declaration would trip this
-  EXPECT_TRUE(lint_kernel_source(src, 1, limits).clean());
+  DeepLintOptions options;
+  options.local_capacity_bytes = 1;  // any declaration would trip this
+  const auto r = deep_lint_source(src, options);
+  EXPECT_TRUE(r.clean()) << r.to_string();
 }
 
 TEST(KernelLint, GeneratedKernelsRespectGpuScratchpad) {
   // The paper's K20c has a 48 KiB scratch-pad; every generated variant at
   // the default configuration must fit (and must not barrier divergently).
-  LintLimits limits;
-  limits.local_mem_bytes = 48 * 1024;
+  DeepLintOptions options;
+  options.local_capacity_bytes = 48 * 1024;
   for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
     const AlsVariant v = AlsVariant::from_mask(mask);
     const std::string src = batched_kernel_source(v, config());
-    const LintReport report = lint_kernel_source(src, 1, limits);
+    const LintReport report = deep_lint_source(src, options);
     EXPECT_TRUE(report.clean()) << v.name() << ":\n" << report.to_string();
   }
   // An implausibly small scratch-pad is detected on the staging variant.
-  limits.local_mem_bytes = 256;
+  options.local_capacity_bytes = 256;
   const std::string staged =
       batched_kernel_source(AlsVariant::batch_local(), config());
-  EXPECT_FALSE(lint_kernel_source(staged, 1, limits).clean());
+  EXPECT_FALSE(deep_lint_source(staged, options).clean());
 }
 
 }  // namespace
