@@ -2,6 +2,7 @@
 // the primitive kernels every ALS variant is built from.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "als/row_solve.hpp"
@@ -77,10 +78,13 @@ void BM_BatchedCholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedCholesky)->Arg(256)->Arg(4096);
 
-/// One row of omega ratings over an omega × k factor: the direct and the
-/// product-table forms of the same assembly (bitwise equal results). The
-/// table is built outside the timed loop, as a trainer builds it once per
-/// half-update; items are ratings.
+/// One row of omega ratings: the direct and the product-table forms of the
+/// same assembly (bitwise equal results). The table is built outside the
+/// timed loop, as a trainer builds it once per half-update; items are
+/// ratings. With `source_rows` 0 the row gathers rows 0…ω−1 of an ω-row
+/// factor in order, one stream the prefetchers hide; otherwise it gathers
+/// ω rows drawn at random (fixed seed) from a factor of that many rows, as
+/// a half-update's rows do.
 struct AssembleInput {
   int k;
   Matrix y;
@@ -88,9 +92,11 @@ struct AssembleInput {
   std::vector<real> vals;
   std::vector<real> smat, svec;
 
-  explicit AssembleInput(const benchmark::State& state)
+  AssembleInput(const benchmark::State& state, std::int64_t source_rows)
       : k(static_cast<int>(state.range(0))),
-        y(static_cast<index_t>(state.range(1)), k),
+        y(static_cast<index_t>(source_rows > 0 ? source_rows
+                                               : state.range(1)),
+          k),
         cols(static_cast<std::size_t>(state.range(1))),
         vals(cols.size(), 3.0f),
         smat(static_cast<std::size_t>(k) * static_cast<std::size_t>(k)),
@@ -98,7 +104,9 @@ struct AssembleInput {
     Rng rng(3);
     y.fill_uniform(rng, -1, 1);
     for (std::size_t i = 0; i < cols.size(); ++i) {
-      cols[i] = static_cast<index_t>(i);
+      cols[i] = source_rows > 0 ? static_cast<index_t>(rng.bounded(
+                                      static_cast<std::uint64_t>(source_rows)))
+                                : static_cast<index_t>(i);
     }
   }
 };
@@ -113,8 +121,16 @@ void assemble_args(benchmark::internal::Benchmark* b) {
       ->Args({16, 256});
 }
 
-void BM_AssembleNormalEquations(benchmark::State& state) {
-  AssembleInput in(state);
+/// k = 10 over sources the size of NTFX/64's two halves (2,221 item rows
+/// for the X half, 7,503 user rows for the Y half); the third argument is
+/// the source's row count.
+void random_assemble_args(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t rows : {2221, 7503}) {
+    b->Args({10, 256, rows})->Args({10, 4096, rows});
+  }
+}
+
+void assemble_direct(benchmark::State& state, AssembleInput in) {
   for (auto _ : state) {
     assemble_normal_equations(in.cols, in.vals, in.y, 0.1f, in.k,
                               in.smat.data(), in.svec.data());
@@ -124,10 +140,8 @@ void BM_AssembleNormalEquations(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(in.cols.size()));
 }
-BENCHMARK(BM_AssembleNormalEquations)->Apply(assemble_args);
 
-void BM_AssembleFromProducts(benchmark::State& state) {
-  AssembleInput in(state);
+void assemble_from_products(benchmark::State& state, AssembleInput in) {
   ProductTable products;
   products.build(in.y);
   for (auto _ : state) {
@@ -139,7 +153,26 @@ void BM_AssembleFromProducts(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(in.cols.size()));
 }
+
+void BM_AssembleNormalEquations(benchmark::State& state) {
+  assemble_direct(state, AssembleInput(state, 0));
+}
+BENCHMARK(BM_AssembleNormalEquations)->Apply(assemble_args);
+
+void BM_AssembleFromProducts(benchmark::State& state) {
+  assemble_from_products(state, AssembleInput(state, 0));
+}
 BENCHMARK(BM_AssembleFromProducts)->Apply(assemble_args);
+
+void BM_AssembleNormalEquationsRandom(benchmark::State& state) {
+  assemble_direct(state, AssembleInput(state, state.range(2)));
+}
+BENCHMARK(BM_AssembleNormalEquationsRandom)->Apply(random_assemble_args);
+
+void BM_AssembleFromProductsRandom(benchmark::State& state) {
+  assemble_from_products(state, AssembleInput(state, state.range(2)));
+}
+BENCHMARK(BM_AssembleFromProductsRandom)->Apply(random_assemble_args);
 
 void BM_CsrTranspose(benchmark::State& state) {
   SyntheticSpec spec;

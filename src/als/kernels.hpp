@@ -80,8 +80,9 @@ struct UpdateArgs {
 
 /// The rule for summing a product table instead of multiplying. It moves
 /// only wall time, never bits (docs/solvers.md has the sweep behind it):
-///  * below kProductTableMinK a rating has so few products that gathering
-///    its padded table row costs more than multiplying them;
+///  * below kProductTableMinK the direct form runs, although the table's
+///    register sweeps now win there too (docs/solvers.md); the bound is
+///    an open item;
 ///  * past kProductTableBudgetBytes (one core's L2 on the measured
 ///    machine) the table's gathers come from the shared cache and cost
 ///    more than the multiplies they replace.

@@ -32,16 +32,23 @@ void assemble_normal_equations(std::span<const index_t> cols,
                                int k, real* smat, real* svec) {
   ALSMF_CHECK(cols.size() == vals.size());
   ALSMF_CHECK(products.k() == k);
-  // The packed sums take the front of smat until they are unpacked.
-  std::fill(smat, smat + ProductTable::products(k), real{0});
-  std::fill(svec, svec + k, real{0});
+  // One accumulator laid out like a table row holds every sum across the
+  // blocks: the front of smat, which is at least that long from k = 4 on,
+  // else a stack buffer (stride(3) = 12).
+  const std::size_t stride = ProductTable::stride(k);
+  std::array<real, 12> small{};
+  real* acc = stride <= static_cast<std::size_t>(k) * k ? smat : small.data();
+  ALSMF_CHECK(stride <= small.size() || acc == smat);
+  std::fill(acc, acc + stride, real{0});
   std::array<const real*, kGramBlockRows> rows{};
   for (std::size_t base = 0; base < cols.size(); base += rows.size()) {
     const std::size_t n = std::min(rows.size(), cols.size() - base);
     for (std::size_t p = 0; p < n; ++p) rows[p] = products.row(cols[base + p]);
-    accumulate_products({rows.data(), n}, vals.data() + base, products, smat,
-                        svec);
+    accumulate_products({rows.data(), n}, vals.data() + base, products, acc);
   }
+  // The rhs leaves before unpacking overwrites it.
+  std::copy_n(acc + products.y_offset(), k, svec);
+  if (acc != smat) std::copy_n(acc, ProductTable::products(k), smat);
   unpack_products(k, smat);
   finalize_gram(lambda, k, smat);
 }

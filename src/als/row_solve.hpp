@@ -12,8 +12,10 @@
 //    it. Fold-in, serving, the guards, the reference and the cuMF-like
 //    baseline use it.
 //  * The table form sums a ProductTable, where each source row's products
-//    were multiplied once per half-update. The batched and flat kernels
-//    use it where the table pays (kernels.hpp).
+//    were multiplied once per half-update, in register sweeps over whole
+//    vectors of each gathered table row that carry the rhs too
+//    (accumulate_products). The batched and flat kernels use it where the
+//    table pays (kernels.hpp).
 // A product rounds the same whether it is formed inside the sum or before
 // it, so the two forms agree bitwise. The implicit system starts from G and
 // sums directly, with accumulate_gram's matrix weight c − 1 scaling the

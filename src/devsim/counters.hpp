@@ -108,6 +108,9 @@ class SectionCounters {
     for (const auto& [n, c] : o.sections_) at(n) += c;
   }
 
+  /// Drops every section and keeps the list's storage.
+  void clear() { sections_.clear(); }
+
  private:
   std::vector<std::pair<std::string, LaunchCounters>> sections_;
 };

@@ -33,15 +33,18 @@ LaunchResult Device::launch(const std::string& name,
   // blocks are merged in index order, so the double totals depend only on
   // num_groups: not on the pool size or on which worker claimed a block.
   // Checked launches run the same blocks, so their counters are
-  // bit-identical to a plain launch's.
+  // bit-identical to a plain launch's. The block lists and their merge
+  // are kept across launches like the arenas, so a launch allocates for
+  // them only when its sections outgrow them.
   const std::size_t blocks = std::min(kCounterBlocks, config.num_groups);
-  std::vector<SectionCounters> partial(blocks);
+  if (partial_.size() < blocks) partial_.resize(blocks);
+  for (std::size_t i = 0; i < blocks; ++i) partial_[i].clear();
   auto run_block = [&](std::size_t i, aligned_vector<std::byte>& arena,
                        check::LaunchChecker* checker) {
     const std::size_t end = (i + 1) * config.num_groups / blocks;
     for (std::size_t g = i * config.num_groups / blocks; g < end; ++g) {
       GroupCtx ctx(profile_, g, config.group_size, config.functional,
-                   partial[i], arena, checker);
+                   partial_[i], arena, checker);
       kernel(ctx);
     }
   };
@@ -71,11 +74,11 @@ LaunchResult Device::launch(const std::string& name,
                         }
                       });
   }
-  SectionCounters merged;
-  for (const auto& p : partial) merged.merge(p);
+  merged_.clear();
+  for (std::size_t i = 0; i < blocks; ++i) merged_.merge(partial_[i]);
 
   LaunchResult result;
-  result.counters = merged.total();
+  result.counters = merged_.total();
   result.counters.groups = config.num_groups;
   result.counters.launches = 1;
   result.counters.group_size = config.group_size;
@@ -110,7 +113,7 @@ LaunchResult Device::launch(const std::string& name,
   // Attribute per-section stats. Sections share the launch's shape (groups,
   // group size) so utilization is modeled consistently, but the launch
   // overhead is charged only once, to the section with the largest share.
-  const auto& entries = merged.entries();
+  const auto& entries = merged_.entries();
   std::size_t heaviest = 0;
   double heaviest_time = -1.0;
   std::vector<TimeEstimate> section_times(entries.size());

@@ -131,6 +131,9 @@ class Device {
   /// group, as on hardware.
   std::vector<aligned_vector<std::byte>> arenas_;
   aligned_vector<std::byte> checked_arena_;
+  /// Per-block section counters and their merge, cleared by each launch.
+  std::vector<SectionCounters> partial_;
+  SectionCounters merged_;
 };
 
 }  // namespace alsmf::devsim

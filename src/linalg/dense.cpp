@@ -1,7 +1,10 @@
 #include "linalg/dense.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "common/thread_pool.hpp"
 
@@ -42,13 +45,6 @@ real column(const Rows&, std::size_t, real yj) {
 real column(const WeightedRows& rows, std::size_t p, real yj) {
   return rows.m[p] * yj;
 }
-
-/// The y_p appended to gathered ProductTable rows.
-struct TableRows {
-  const real* const* rows;
-  std::size_t y_offset;
-  const real* operator()(std::size_t p) const { return rows[p] + y_offset; }
-};
 
 struct ContiguousRows {
   const real* base;
@@ -166,30 +162,76 @@ void accumulate_weighted(const WeightedRows& row, std::size_t n,
   }
 }
 
-/// Reals per padded vector of a ProductTable row (one SSE register).
+/// Reals per vector of a ProductTable row. The sweeps below hold their sums
+/// in GNU vectors of this many reals: SSE2 on x86-64, NEON on aarch64.
 constexpr std::size_t kProductVector = 4;
-/// Packed products summed in locals per pass of accumulate_products.
-constexpr std::size_t kProductBlock = 16;
+using vreal = real __attribute__((vector_size(kProductVector * sizeof(real))));
+/// Vector sums per register sweep of accumulate_products. With the
+/// broadcast weight, a loaded row vector and its product they fit the 16
+/// vector registers of either baseline without spilling.
+constexpr std::size_t kSweepVectors = 9;
 
 std::size_t round_up(std::size_t n, std::size_t to) {
   return (n + to - 1) / to * to;
 }
 
-/// packed[off, off+valid) += Σ_p rows[p][off, off+W) over rows [0, n), in
-/// locals. Table rows are zero-padded to whole vectors, so the W reads
-/// never leave the row's products; only `valid` sums are loaded and stored.
-template <std::size_t W>
-void product_block(const real* const* rows, std::size_t n, std::size_t off,
-                   std::size_t valid, real* packed) {
-  real acc[W] = {};
-  for (std::size_t w = 0; w < valid; ++w) acc[w] = packed[off + w];
+vreal load(const real* p) {
+  vreal v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store(real* p, vreal v) { std::memcpy(p, &v, sizeof v); }
+
+/// One register sweep over the NP + NY vectors of a table row that start
+/// at real `off`: NP product vectors, then NY vectors of the appended y.
+/// Each sum is loaded from `acc` (laid out like a table row), adds rows
+/// [0, n) in order, one add per product vector and one multiply and add
+/// per w_p·y_p vector, and is stored back.
+template <std::size_t NP, std::size_t NY>
+void sweep(const real* const* rows, std::size_t n, const real* weights,
+           std::size_t off, real* acc) {
+  constexpr std::size_t kW = kProductVector;
+  vreal s[NP + NY];
+#pragma GCC unroll 9
+  for (std::size_t v = 0; v < NP + NY; ++v) s[v] = load(acc + off + v * kW);
   for (std::size_t p = 0; p < n; ++p) {
     const real* t = rows[p] + off;
-#pragma GCC unroll 16
-    for (std::size_t w = 0; w < W; ++w) acc[w] += t[w];
+#pragma GCC unroll 9
+    for (std::size_t v = 0; v < NP; ++v) s[v] += load(t + v * kW);
+    if constexpr (NY > 0) {
+      const vreal w = vreal{} + weights[p];
+#pragma GCC unroll 9
+      for (std::size_t v = NP; v < NP + NY; ++v) s[v] += w * load(t + v * kW);
+    }
   }
-  for (std::size_t w = 0; w < valid; ++w) packed[off + w] = acc[w];
+#pragma GCC unroll 9
+  for (std::size_t v = 0; v < NP + NY; ++v) store(acc + off + v * kW, s[v]);
 }
+
+using Sweep = void (*)(const real* const*, std::size_t, const real*,
+                       std::size_t, real*);
+
+template <std::size_t NP, std::size_t NY>
+constexpr Sweep sweep_or_null() {
+  if constexpr (NP + NY == 0 || NP + NY > kSweepVectors) {
+    return nullptr;
+  } else {
+    return &sweep<NP, NY>;
+  }
+}
+
+/// sweep<NP, NY> at index NP·(kSweepVectors + 1) + NY, for every split of
+/// one to kSweepVectors vectors.
+template <std::size_t... I>
+constexpr auto make_sweeps(std::index_sequence<I...>) {
+  constexpr std::size_t kSide = kSweepVectors + 1;
+  return std::array<Sweep, sizeof...(I)>{
+      sweep_or_null<I / kSide, I % kSide>()...};
+}
+
+constexpr auto kSweeps = make_sweeps(
+    std::make_index_sequence<(kSweepVectors + 1) * (kSweepVectors + 1)>{});
 
 }  // namespace
 
@@ -257,34 +299,19 @@ void ProductTable::build(const Matrix& y) {
 
 void accumulate_products(std::span<const real* const> rows,
                          const real* weights, const ProductTable& table,
-                         real* packed, real* rhs) {
-  const int k = table.k();
-  const std::size_t total = ProductTable::products(k);
-  for (std::size_t p0 = 0; p0 < rows.size(); p0 += kGramBlockRows) {
-    const real* const* block = rows.data() + p0;
-    const std::size_t n = std::min(kGramBlockRows, rows.size() - p0);
-    std::size_t off = 0;
-    for (; off + kProductBlock <= total; off += kProductBlock) {
-      product_block<kProductBlock>(block, n, off, kProductBlock, packed);
-    }
-    // The rest fits in whole vectors of the zero padding.
-    switch (round_up(total - off, kProductVector)) {
-      case 16: product_block<16>(block, n, off, total - off, packed); break;
-      case 12: product_block<12>(block, n, off, total - off, packed); break;
-      case 8: product_block<8>(block, n, off, total - off, packed); break;
-      case 4: product_block<4>(block, n, off, total - off, packed); break;
-      default: break;
-    }
-    if (rhs == nullptr) continue;
-    const TableRows y{block, table.y_offset()};
-    for (int i0 = 0; i0 < k; i0 += kTile) {
-      switch (std::min(kTile, k - i0)) {
-        case 4: rhs_tile<4>(y, 0, n, i0, weights + p0, rhs); break;
-        case 3: rhs_tile<3>(y, 0, n, i0, weights + p0, rhs); break;
-        case 2: rhs_tile<2>(y, 0, n, i0, weights + p0, rhs); break;
-        default: rhs_tile<1>(y, 0, n, i0, weights + p0, rhs); break;
-      }
-    }
+                         real* acc) {
+  // The row's vectors, products first, split into the fewest sweeps of at
+  // most kSweepVectors and balanced between them (17 at k = 10: 8, then 6
+  // products and the 3 vectors of y).
+  const std::size_t vectors = ProductTable::stride(table.k()) / kProductVector;
+  const std::size_t product_vectors = table.y_offset() / kProductVector;
+  const std::size_t sweeps = (vectors + kSweepVectors - 1) / kSweepVectors;
+  for (std::size_t i = 0; i < sweeps; ++i) {
+    const std::size_t begin = i * vectors / sweeps;
+    const std::size_t end = (i + 1) * vectors / sweeps;
+    const std::size_t np = std::clamp(product_vectors, begin, end) - begin;
+    kSweeps[np * (kSweepVectors + 1) + (end - begin - np)](
+        rows.data(), rows.size(), weights, begin * kProductVector, acc);
   }
 }
 

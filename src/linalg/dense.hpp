@@ -126,8 +126,9 @@ void accumulate_gram(std::span<const real* const> rows, const real* weights,
 /// The products of every row of a factor matrix, formed once so that the
 /// Gram sums over many ratings of one row add them instead of multiplying.
 /// Row s holds the upper triangle of y_s y_sᵀ packed row by row
-/// (y_s[i]·y_s[j] for i ≤ j), zero-padded to whole vectors, followed by
-/// y_s itself, so summing one rating gathers one row.
+/// (y_s[i]·y_s[j] for i ≤ j), zero-padded to whole vectors of 4 reals,
+/// followed by y_s itself, zero-padded the same way: summing one rating
+/// gathers one row of whole vectors.
 class ProductTable {
  public:
   /// Products per row: k(k+1)/2.
@@ -158,14 +159,16 @@ class ProductTable {
 };
 
 /// The table form. Over the block of table rows t_p of `table` it adds the
-/// products of Σ_p y_p y_pᵀ into `packed` (ProductTable::products(k)
-/// reals, the upper triangle packed row by row) and, when `rhs` is not
-/// null, Σ_p w_p y_p into `rhs`, under the order contract above. Sums are
-/// kept in locals over up to kGramBlockRows rows per block of packed
-/// products.
+/// products of Σ_p y_p y_pᵀ and Σ_p w_p y_p into `acc`, one accumulator laid
+/// out like a table row (ProductTable::stride(k) reals): the packed upper
+/// triangle at [0, products(k)) and the rhs at [y_offset(), y_offset() + k),
+/// each element under the order contract above. The padding gathers sums of
+/// zeros. Each sweep holds up to nine whole vectors of the row in registers
+/// over the whole block, adding product vectors as they are and y vectors
+/// as w_p·y_p, so at k = 10 a block takes two sweeps.
 void accumulate_products(std::span<const real* const> rows,
                          const real* weights, const ProductTable& table,
-                         real* packed, real* rhs);
+                         real* acc);
 
 /// Moves the packed upper triangle held in the first
 /// ProductTable::products(k) reals of `gram` (k×k) to its place in the

@@ -235,6 +235,8 @@ struct LoopFrame {
   double avg_value = 0;  // kFixed: mean value of the loop variable
   long lane_span = 0;    // kLanePart with a constant bound: elements covered
   bool lane_region = false;  // kLanePart over a chunk: per-element freq
+  std::size_t first_barrier = 0;  // index of the body's first BarrierIR
+  bool lane_exit = false;  // a lane-divergent continue/break was lowered
 };
 
 /// A pending traversal fold: several references to the same buffer/base
@@ -841,7 +843,10 @@ class KernelLowerer {
         BarrierIR b;
         b.freq = freq_;
         b.hot = freq_.per_chunk > 0;
-        b.divergent = divergent_depth_ > 0 || lane_loop_depth_ > 0;
+        b.divergent = divergent_depth_ > 0 || lane_loop_depth_ > 0 ||
+                      lane_return_ ||
+                      std::any_of(loops_.begin(), loops_.end(),
+                                  [](const LoopFrame& f) { return f.lane_exit; });
         b.line = s.line;
         out_.barriers.push_back(b);
         ++interval_;  // a barrier opens a new MHP interval
@@ -850,7 +855,27 @@ class KernelLowerer {
       case Stmt::Kind::kReturn:
       case Stmt::Kind::kContinue:
       case Stmt::Kind::kBreak:
+        if (lane_branch_depth_ > 0 || lane_loop_depth_ > 0) lane_exit(s.kind);
         break;
+    }
+  }
+
+  /// An exit that only some lanes take leaves the others to reach every
+  /// later barrier of its scope without them: the rest of the kernel after
+  /// `return`, the rest of the loop after `continue` or `break`. Lanes that
+  /// leave a loop (`break`, or `return` from inside it) also miss its
+  /// earlier barriers on its later trips.
+  void lane_exit(Stmt::Kind kind) {
+    if (kind == Stmt::Kind::kReturn) {
+      lane_return_ = true;
+    } else if (!loops_.empty()) {
+      loops_.back().lane_exit = true;
+    }
+    if (kind == Stmt::Kind::kContinue || loops_.empty()) return;
+    const LoopFrame& left =
+        kind == Stmt::Kind::kReturn ? loops_.front() : loops_.back();
+    for (std::size_t i = left.first_barrier; i < out_.barriers.size(); ++i) {
+      out_.barriers[i].divergent = true;
     }
   }
 
@@ -1298,13 +1323,18 @@ class KernelLowerer {
       }
     }
 
+    // An exit under a lane test, launch guards included, is one only some
+    // lanes take (lane_exit).
+    const bool lane_branch = lane_dependent(c);
     if (zero) ++zero_depth_;
     if (divergent) ++divergent_depth_;
+    if (lane_branch) ++lane_branch_depth_;
     if (lane_bound > 0) lane_bound_stack_.push_back(lane_bound);
     stmt_list(s.body);
     if (lane_bound > 0) lane_bound_stack_.pop_back();
     if (zero) --zero_depth_;
     stmt_list(s.else_body);  // the other lanes: just as divergent
+    if (lane_branch) --lane_branch_depth_;
     if (divergent) --divergent_depth_;
   }
 
@@ -1484,6 +1514,7 @@ class KernelLowerer {
     const Freq saved = freq_;
     const bool lane_loop = loop_diverges(s);
     freq_ = freq_.times(mult);
+    frame.first_barrier = out_.barriers.size();
     loops_.push_back(frame);
     if (lane_loop) ++lane_loop_depth_;
     stmt_list(s.body);
@@ -1543,7 +1574,9 @@ class KernelLowerer {
   std::set<std::string> lane_vars_;  // lane-dependent variables
   Freq freq_;
   int divergent_depth_ = 0;   // lane-divergent if/else branches
+  int lane_branch_depth_ = 0; // branches on a lane test, guards included
   int lane_loop_depth_ = 0;   // loops whose trip count varies across lanes
+  bool lane_return_ = false;  // a lane-divergent return was lowered
   int zero_depth_ = 0;
   int interval_ = 0;
   int order_ = 0;

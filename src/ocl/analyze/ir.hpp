@@ -172,7 +172,9 @@ struct BarrierIR {
   Freq freq;       // per enclosing chunk/row
   bool hot = false;  // inside the chunked staging loop (priced)
   /// Reached by a lane-dependent subset of the group: under a lane-divergent
-  /// if/else branch, or in a loop whose trip count varies across lanes.
+  /// if/else branch, in a loop whose trip count varies across lanes, or
+  /// after an exit only some lanes take (the rest of the kernel after
+  /// `return`, the rest of the loop after `continue` or `break`).
   bool divergent = false;
   int line = 0;
 };

@@ -155,29 +155,44 @@ bool eval_atom(const std::vector<Token>& toks, std::size_t& pos,
   return true;
 }
 
-/// Integer literals, #define'd names, unary minus, + - * / and parens,
-/// left to right; advances `pos`.
+/// Atoms joined by * and /, left to right; advances `pos`.
+bool eval_term(const std::vector<Token>& toks, std::size_t& pos,
+               const std::map<std::string, std::string>& defines, int depth,
+               long& out) {
+  long acc = 0;
+  if (!eval_atom(toks, pos, defines, depth, acc)) return false;
+  while (pos < toks.size() &&
+         (toks[pos].text == "*" || toks[pos].text == "/")) {
+    const bool mul = toks[pos].text == "*";
+    ++pos;
+    long rhs = 0;
+    if (!eval_atom(toks, pos, defines, depth, rhs)) return false;
+    if (mul) {
+      acc *= rhs;
+    } else {
+      if (rhs == 0) return false;
+      acc /= rhs;
+    }
+  }
+  out = acc;
+  return true;
+}
+
+/// Integer literals, #define'd names, unary minus, + - * / and parens, with
+/// * and / binding tighter than + and -, each level left to right;
+/// advances `pos`.
 bool eval_const_expr(const std::vector<Token>& toks, std::size_t& pos,
                      const std::map<std::string, std::string>& defines,
                      int depth, long& out) {
   long acc = 0;
-  if (!eval_atom(toks, pos, defines, depth, acc)) return false;
-  while (pos < toks.size()) {
-    const std::string& op = toks[pos].text;
-    if (op != "*" && op != "/" && op != "+" && op != "-") break;
+  if (!eval_term(toks, pos, defines, depth, acc)) return false;
+  while (pos < toks.size() &&
+         (toks[pos].text == "+" || toks[pos].text == "-")) {
+    const bool add = toks[pos].text == "+";
     ++pos;
     long rhs = 0;
-    if (!eval_atom(toks, pos, defines, depth, rhs)) return false;
-    if (op == "*") {
-      acc *= rhs;
-    } else if (op == "/") {
-      if (rhs == 0) return false;
-      acc /= rhs;
-    } else if (op == "+") {
-      acc += rhs;
-    } else {
-      acc -= rhs;
-    }
+    if (!eval_term(toks, pos, defines, depth, rhs)) return false;
+    acc = add ? acc + rhs : acc - rhs;
   }
   out = acc;
   return true;

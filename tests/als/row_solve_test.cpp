@@ -189,9 +189,15 @@ TEST(RowSolve, ProductTableMatchesAccumulateGramBitwise) {
   // The table form adds products that the table multiplied once; the
   // direct form multiplies each as it adds it. Values spanning ~12 decades
   // make any reordering, or any product rounded twice, change the bits.
+  // k = 1…40, 64 and 100 give every shape of register sweep: products
+  // only, a last sweep that also carries y, and sweeps of y alone.
   Rng rng(29);
   ProductTable table;  // rebuilt for every k into the same storage
-  for (const int k : {1, 2, 3, 4, 5, 7, 8, 10, 11, 16, 17, 32}) {
+  std::vector<int> ks(40);
+  for (int k = 1; k <= 40; ++k) ks[static_cast<std::size_t>(k - 1)] = k;
+  ks.push_back(64);
+  ks.push_back(100);
+  for (const int k : ks) {
     Matrix y(90, static_cast<index_t>(k));
     for (std::size_t e = 0; e < y.size(); ++e) y.data()[e] = mixed(rng);
     table.build(y);

@@ -1,6 +1,7 @@
 // A no-fault multi-device iteration moves factor rows only: its shards share
 // the rating slices cut when the layout was made, so no wave copies a CSR,
-// and one product table per half-update. A Device keeps its launch arenas.
+// and one product table per half-update. A Device keeps its launch arenas
+// and its per-block counter lists.
 //
 // The test counts heap bytes through a replacement global operator new, so
 // it is built as a binary of its own.
@@ -12,6 +13,7 @@
 #include <functional>
 #include <new>
 
+#include "als/kernels.hpp"
 #include "als/multi_device.hpp"
 #include "als/solver.hpp"
 #include "testing/util.hpp"
@@ -161,6 +163,38 @@ TEST(DeviceArena, SecondCpuLaunchReusesArenas) {
       bytes_allocated_by([&] { device.launch("empty", config, kernel); });
   EXPECT_LT(checked, devsim::local_capacity_bytes(device.profile()))
       << checked << " B";
+}
+
+TEST(DeviceArena, RepeatedLaunchKeepsItsCounterLists) {
+  // A launch sums its counters in up to 64 per-block section lists; the
+  // Device keeps them across launches like the arenas, so once a kernel's
+  // sections exist a repeated launch allocates only what launch_update and
+  // the launch record need, not a list per block.
+  const Csr r = testing::random_csr(500, 400, 0.1, 2207);
+  ASSERT_GT(r.nnz(), 19000);
+  const int k = 10;
+  Matrix src(r.cols(), k);
+  Rng rng(11);
+  src.fill_uniform(rng, -0.5f, 0.5f);
+  Matrix dst(r.rows(), k);
+  ProductTable table;
+  table.build(src);
+
+  UpdateArgs args;
+  args.r = &r;
+  args.src = &src;
+  args.dst = &dst;
+  args.k = k;
+  args.variant = AlsVariant::batch_local_reg();
+  args.products = &table;
+  devsim::Device device(devsim::k20c());
+  const auto launch = [&] {
+    launch_update(device, "update_x", args, 256, 32, /*functional=*/true);
+  };
+  launch();
+  launch();
+  const std::size_t third = bytes_allocated_by(launch);
+  EXPECT_LT(third, std::size_t{4} << 10) << third << " B";
 }
 
 }  // namespace

@@ -93,5 +93,20 @@ TEST(Matrix, EqualityOperator) {
   EXPECT_NE(a, b);
 }
 
+TEST(ProductTable, RowIsWholeVectors) {
+  // accumulate_products sums a table row in whole vectors of 4 reals: the
+  // padded products, then y from a vector boundary, padded to the end.
+  for (int k = 1; k <= 100; ++k) {
+    SCOPED_TRACE(k);
+    Matrix y(3, static_cast<index_t>(k), 1.0f);
+    ProductTable table;
+    table.build(y);
+    const auto ku = static_cast<std::size_t>(k);
+    EXPECT_EQ(table.y_offset() % 4, 0u);
+    EXPECT_GE(table.y_offset(), ProductTable::products(k));
+    EXPECT_EQ(ProductTable::stride(k), table.y_offset() + (ku + 3) / 4 * 4);
+  }
+}
+
 }  // namespace
 }  // namespace alsmf

@@ -4,9 +4,11 @@
 // (deep lint, static profiles, zero-run ranking) trusts these facts.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "ocl/analyze/ir.hpp"
+#include "ocl/analyze/lexer.hpp"
 #include "ocl/analyze/parser.hpp"
 #include "ocl/kernel_source.hpp"
 
@@ -159,6 +161,97 @@ TEST(AnalyzeIr, BarriersOnlySomeLanesReachAreDivergent) {
   ir = lower_one(bounded_by("get_group_id"));
   ASSERT_EQ(ir.barriers.size(), 1u);
   EXPECT_FALSE(ir.barriers[0].divergent);
+}
+
+TEST(AnalyzeIr, BarriersAfterALaneDivergentExitAreDivergent) {
+  // Lanes that leave early never reach a later barrier of the exit's
+  // scope: the rest of the kernel after `return`, the rest of the loop
+  // after `continue` or `break`. The same exits on a group test leave
+  // together, so the barriers stay uniform.
+  // A launch guard on a lane id exits per lane too, although it is not a
+  // lane guard for the references after it.
+  KernelIR guarded = lower_one(
+      "__kernel void f(__local float* t, const int rows) {\n"
+      "  const int u = get_global_id(0);\n"
+      "  if (u >= rows) return;\n"
+      "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+      "}\n");
+  ASSERT_EQ(guarded.barriers.size(), 1u);
+  EXPECT_TRUE(guarded.barriers[0].divergent);
+
+  for (const std::string id : {"get_local_id", "get_group_id"}) {
+    SCOPED_TRACE(id);
+    const bool lane = id == "get_local_id";
+    KernelIR ir = lower_one(
+        "__kernel void f(__local float* t) {\n"
+        "  if (" + id + "(0) > 3) return;\n"
+        "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+        "}\n");
+    ASSERT_EQ(ir.barriers.size(), 1u);
+    EXPECT_EQ(ir.barriers[0].divergent, lane);
+
+    // After a continue, the rest of the loop; the loop's first barrier and
+    // the barrier after the loop are reached by every lane.
+    ir = lower_one(
+        "__kernel void f(__local float* t) {\n"
+        "  for (int i = 0; i < 4; ++i) {\n"
+        "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+        "    if (" + id + "(0) > i) continue;\n"
+        "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+        "  }\n"
+        "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+        "}\n");
+    ASSERT_EQ(ir.barriers.size(), 3u);
+    EXPECT_FALSE(ir.barriers[0].divergent);
+    EXPECT_EQ(ir.barriers[1].divergent, lane);
+    EXPECT_FALSE(ir.barriers[2].divergent);
+
+    // After a break, or a return inside the loop, every barrier of the
+    // loop: the lanes that left miss the first one on later trips too.
+    // After the loop, only the return's lanes are still missing.
+    for (const std::string exit : {"break", "return"}) {
+      SCOPED_TRACE(exit);
+      ir = lower_one(
+          "__kernel void f(__local float* t) {\n"
+          "  for (int i = 0; i < 4; ++i) {\n"
+          "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+          "    if (" + id + "(0) > i) " + exit + ";\n"
+          "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+          "  }\n"
+          "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+          "}\n");
+      ASSERT_EQ(ir.barriers.size(), 3u);
+      EXPECT_EQ(ir.barriers[0].divergent, lane);
+      EXPECT_EQ(ir.barriers[1].divergent, lane);
+      EXPECT_EQ(ir.barriers[2].divergent, lane && exit == "return");
+    }
+  }
+}
+
+TEST(AnalyzeIr, ConstantExpressionsBindProductsFirst) {
+  const std::map<std::string, std::string> defines = {
+      {"A", "2 + 3 * 4"},
+      {"B", "2 * 3 + 4"},
+      {"C", "20 / 2 - 3"},
+      {"D", "(2 + 3) * 4"},
+  };
+  for (const auto& [name, want] : std::map<std::string, long>{
+           {"A", 14}, {"B", 10}, {"C", 7}, {"D", 20}}) {
+    long got = 0;
+    ASSERT_TRUE(eval_define(name, defines, got)) << name;
+    EXPECT_EQ(got, want) << name << " = " << defines.at(name);
+  }
+
+  const KernelIR ir = lower_one(
+      "#define N 2 + 3 * 4\n"
+      "__kernel void f(__global float* out) {\n"
+      "  __local float a[N];\n"
+      "  a[get_local_id(0)] = 1;\n"
+      "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+      "  out[get_global_id(0)] = a[0];\n"
+      "}\n");
+  ASSERT_EQ(ir.locals.size(), 1u);
+  EXPECT_EQ(ir.locals[0].elems, 14);
 }
 
 TEST(AnalyzeIr, UnanalyzableLoopThrowsParseErrorWithLine) {

@@ -166,6 +166,34 @@ TEST(DeepLint, FlagsGeneratedBarrierMovedUnderTheLaneZeroSolve) {
   EXPECT_FALSE(mentions(r, "unanalyzable")) << r.to_string();
 }
 
+TEST(DeepLint, FlagsBarrierAfterALaneDivergentExit) {
+  // Lanes 4+ return (or skip the rest of the trip, or leave the loop), so
+  // the barrier after the exit never releases the group. The same exits on
+  // a group test lint clean.
+  const auto lint = [](const std::string& id, const std::string& exit) {
+    const std::string src = std::string(kPreamble) +
+        "__kernel void f(__global real_t* out) {\n"
+        "  __local real_t t[WS];\n"
+        "  for (int i = 0; i < 2; ++i) {\n"
+        "    if (" + id + "(0) > 3) " + exit + ";\n"
+        "    t[get_local_id(0)] = (real_t)i;\n"
+        "    barrier(CLK_LOCAL_MEM_FENCE);\n"
+        "    out[get_global_id(0)] = t[0];\n"
+        "  }\n"
+        "}\n";
+    return deep_lint_source(src);
+  };
+  for (const std::string exit : {"return", "continue", "break"}) {
+    SCOPED_TRACE(exit);
+    const LintReport lane = lint("get_local_id", exit);
+    ASSERT_EQ(lane.issues.size(), 1u) << lane.to_string();
+    EXPECT_EQ(lane.issues[0].line, 9) << lane.to_string();
+    EXPECT_TRUE(mentions(lane, "lane-divergent")) << lane.to_string();
+    const LintReport group = lint("get_group_id", exit);
+    EXPECT_TRUE(group.clean()) << group.to_string();
+  }
+}
+
 TEST(DeepLint, FlagsLocalFenceWithoutLocalMemoryExtraKernelAndTab) {
   LintReport r = deep_lint_source(
       "__kernel void f(__global float* out) {\n"
