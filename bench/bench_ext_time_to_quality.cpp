@@ -5,9 +5,8 @@
 // ("which solver should I run on this box?").
 //
 // Expected shape: the exact Cholesky solve pays the full k³/3 factorization
-// every row; warm-started truncated CG and the subspace sweep pay less per
-// row once the factors settle, at the price of slightly less exact
-// half-updates. Anderson mixing attacks the other axis — fewer outer
+// every row; the warm-started subspace sweep pays less per row once the
+// factors settle, at the price of slightly less exact half-updates. Anderson mixing attacks the other axis — fewer outer
 // iterations, paid for with ~1.5x half-updates per mixed iteration
 // (the lookahead acceptance check; docs/solvers.md).
 #include <cstdio>
@@ -65,7 +64,7 @@ int main(int argc, char** argv) {
   const double extra = parse_bench_args(argc, argv).scale;
 
   print_header("Extension — modeled time to reach a target RMSE",
-               "row-solver strategies (cholesky | cg | subspace | +anderson) "
+               "row-solver strategies (cholesky | subspace | +anderson) "
                "per device");
 
   const auto& info = dataset_by_abbr("MVLE");
@@ -84,7 +83,6 @@ int main(int argc, char** argv) {
 
   const std::vector<SolverLane> lanes = {
       {"cholesky", RowSolverKind::kCholesky, 0},
-      {"cg", RowSolverKind::kCg, 0},
       {"subspace", RowSolverKind::kSubspace, 0},
       {"cholesky+aa3", RowSolverKind::kCholesky, 3},
   };
@@ -108,7 +106,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf(
-      "\nExpected shape: cg/subspace shave the per-iteration S3 price;\n"
+      "\nExpected shape: subspace shaves the per-iteration S3 price;\n"
       "anderson shaves outer iterations. Whether either beats the exact\n"
       "solve to the target depends on the device's compute/memory balance\n"
       "(gated in bench_regress's time_to_quality leg).\n");

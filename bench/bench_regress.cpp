@@ -363,9 +363,9 @@ void run_pipeline_smoke(obs::RegressReport& report, const Csr& train,
 // Seconds-to-RMSE-target across the S3 row-solver strategies
 // (docs/solvers.md) on the modeled GPU. The target is the exact solver's
 // RMSE after a pinned number of iterations (plus 2% slack), so the leg
-// gates two things: the per-strategy modeled cost trajectory, and that at
-// least one iterative strategy still beats the exact solve to the target
-// (best_over_cholesky < 1, direction-aware).
+// gates two things: the per-strategy modeled cost trajectory, and that the
+// subspace sweep or Anderson mixing still beats the exact solve to the
+// target (best_over_cholesky < 1, direction-aware).
 void run_time_to_quality(obs::RegressReport& report, const Csr& train) {
   const auto profile = devsim::profile_by_name("gpu");
   const AlsVariant variant = AlsVariant::from_mask(7);
@@ -393,7 +393,6 @@ void run_time_to_quality(obs::RegressReport& report, const Csr& train) {
   };
   const std::vector<Lane> lanes = {
       {"cholesky", RowSolverKind::kCholesky, 0},
-      {"cg", RowSolverKind::kCg, 0},
       {"subspace", RowSolverKind::kSubspace, 0},
       {"anderson", RowSolverKind::kCholesky, 3},
   };

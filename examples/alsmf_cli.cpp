@@ -3,7 +3,7 @@
 //   alsmf_cli train     --ratings r.txt --model m.bin [--k 10] [--lambda 0.1]
 //                       [--iters 10] [--device cpu|gpu|mic] [--profile file]
 //                       [--wr] [--variant auto|0..7]
-//                       [--row-solver cholesky|cg|subspace] [--cg-iters 3]
+//                       [--row-solver cholesky|subspace]
 //                       [--subspace-block 0] [--anderson-m 0]
 //                       (--row-solver picks the S3 strategy — see
 //                       docs/solvers.md; --anderson-m M > 0 turns on
@@ -141,7 +141,7 @@ std::optional<AlsVariant> parse_variant_mask(const std::string& text) {
 int cmd_train(const CliArgs& args) {
   if (!accepts_only(args, "train",
                     {"ratings", "model", "k", "lambda", "iters", "device",
-                     "profile", "wr", "variant", "row-solver", "cg-iters",
+                     "profile", "wr", "variant", "row-solver",
                      "subspace-block", "anderson-m", "checkpoint-dir",
                      "checkpoint-every", "metrics-out", "events-out",
                      "trace-out"})) {
@@ -170,7 +170,6 @@ int cmd_train(const CliArgs& args) {
   options.iterations = static_cast<int>(args.get_long("iters", 10));
   options.weighted_regularization = args.has_flag("wr");
   options.row_solver = parse_row_solver(args.get_or("row-solver", "cholesky"));
-  options.cg_iters = static_cast<int>(args.get_long("cg-iters", 3));
   options.subspace_block =
       static_cast<int>(args.get_long("subspace-block", 0));
   options.anderson_m = static_cast<int>(args.get_long("anderson-m", 0));

@@ -107,23 +107,20 @@ void certify_checked(const Csr& r, const CertifyKernelsOptions& options,
       }
     }
 
-    // Iterative S3 strategies: the CG kernels across all 8 variants
-    // (warm-start read + per-group solve scratch), plus one subspace run.
-    // The exact runs above already cover cholesky.
+    // The iterative S3 strategy on all 8 variants and the flat baseline
+    // (warm-start read + per-group solve scratch). The exact runs above
+    // already cover cholesky.
     {
       AlsOptions strat;
       strat.k = options.k;
-      strat.row_solver = RowSolverKind::kCg;
-      const auto cg = make_row_solver(strat);
-      for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
-        const AlsVariant v = AlsVariant::from_mask(mask);
-        run_variant(v, 0, v.name() + "/cg", cg.get());
-      }
       strat.row_solver = RowSolverKind::kSubspace;
       const auto subspace = make_row_solver(strat);
-      run_variant(AlsVariant::batch_local_reg(), 0, "batch_local_reg/subspace",
+      for (unsigned mask = 0; mask < AlsVariant::kVariantCount; ++mask) {
+        const AlsVariant v = AlsVariant::from_mask(mask);
+        run_variant(v, 0, v.name() + "/subspace", subspace.get());
+      }
+      run_variant(AlsVariant::flat_baseline(), 0, "flat/subspace",
                   subspace.get());
-      run_variant(AlsVariant::flat_baseline(), 0, "flat/cg", cg.get());
     }
 
     // Implicit-feedback device path (one iteration = two half-updates).

@@ -2,7 +2,7 @@
 // every ALS kernel is correct on every device profile, in both of its
 // implementations.
 //
-// Generated OpenCL sources (ocl/kernel_flavors.hpp, 33 flavors) are
+// Generated OpenCL sources (ocl/kernel_flavors.hpp, 25 flavors) are
 // certified per staging tile — the generator default and a forced 4-row
 // tile, so multi-chunk staging and its barrier pairing are covered. Each
 // flavor is generated, parsed and lowered once per tile, and that one IR
@@ -13,9 +13,9 @@
 //    verifier (ocl/analyze/verify/) under the ALS buffer contracts, and the
 //    precision certificate (ocl/analyze/precision/), cross-checked on the
 //    fp16/bf16 flavors by the dynamic shadow witness.
-// The devsim C++ kernels (flat, the 8 batched variants, their CG flavors,
-// subspace and the implicit path) run once under checked execution
-// (devsim/check/) on every profile.
+// The devsim C++ kernels (flat and the 8 batched variants, each with the
+// exact and the subspace solve, and the implicit path) run once under
+// checked execution (devsim/check/) on every profile.
 //
 // The gate fails closed: a parse failure, a lint diagnostic, a
 // checked-execution finding, an unprovable reference or race pair, an

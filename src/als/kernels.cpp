@@ -95,10 +95,9 @@ class BatchedKernel {
     // memory depending on the variant), so it stays outside the shadow.
     auto smat = ctx.local_alloc<real>(static_cast<std::size_t>(k) * k, "smat");
     auto svec = ctx.local_alloc<real>(static_cast<std::size_t>(k), "svec");
-    // Iterative strategies keep their per-row state (warm-started x plus
-    // the CG residual/direction vectors) in the scratch-pad like the
-    // generated _cg kernels do, so occupancy pricing sees the same
-    // footprint the real kernel has.
+    // The iterative strategy keeps its per-row state (the warm-started x
+    // plus the d×d block system and its rhs) in the scratch-pad, so
+    // occupancy pricing sees that footprint.
     check::LocalSpan<real> solve_scratch;
     const std::size_t scratch_n = rs.scratch_reals(k);
     if (scratch_n > 0) {
@@ -466,8 +465,7 @@ class FlatKernel {
 }  // namespace
 
 bool product_table_pays(int k, index_t src_rows) {
-  return k >= kProductTableMinK &&
-         ProductTable::bytes(k, src_rows) <= kProductTableBudgetBytes;
+  return ProductTable::bytes(k, src_rows) <= kProductTableBudgetBytes;
 }
 
 const ProductTable* product_table_for(const Matrix& src, bool functional,

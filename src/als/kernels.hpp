@@ -80,13 +80,10 @@ struct UpdateArgs {
 
 /// The rule for summing a product table instead of multiplying. It moves
 /// only wall time, never bits (docs/solvers.md has the sweep behind it):
-///  * below kProductTableMinK the direct form runs, although the table's
-///    register sweeps now win there too (docs/solvers.md); the bound is
-///    an open item;
-///  * past kProductTableBudgetBytes (one core's L2 on the measured
-///    machine) the table's gathers come from the shared cache and cost
-///    more than the multiplies they replace.
-inline constexpr int kProductTableMinK = 6;
+/// the table wins at every measured k down to 1 while it fits in
+/// kProductTableBudgetBytes (one core's L2 on the measured machine); past
+/// that its gathers come from the shared cache and cost more than the
+/// multiplies they replace.
 inline constexpr std::size_t kProductTableBudgetBytes = std::size_t{2} << 20;
 
 /// Whether a half-update over a src of `src_rows` rows of k reals should

@@ -17,7 +17,6 @@ const char* to_string(LinearSolverKind kind) {
 const char* to_string(RowSolverKind kind) {
   switch (kind) {
     case RowSolverKind::kCholesky: return "cholesky";
-    case RowSolverKind::kCg: return "cg";
     case RowSolverKind::kSubspace: return "subspace";
   }
   return "?";
@@ -46,8 +45,6 @@ bool try_parse(const std::string& text, LinearSolverKind& out) {
 bool try_parse(const std::string& text, RowSolverKind& out) {
   if (text == "cholesky") {
     out = RowSolverKind::kCholesky;
-  } else if (text == "cg") {
-    out = RowSolverKind::kCg;
   } else if (text == "subspace") {
     out = RowSolverKind::kSubspace;
   } else {
@@ -69,7 +66,7 @@ RowSolverKind parse_row_solver(const std::string& text) {
   RowSolverKind out;
   if (!try_parse(text, out)) {
     throw Error("unknown row solver '" + text +
-                "'; expected one of: cholesky, cg, subspace");
+                "'; expected one of: cholesky, subspace");
   }
   return out;
 }
@@ -158,10 +155,6 @@ void validate(const AlsOptions& options) {
   if (options.group_size <= 0) {
     throw Error("invalid group_size = " + std::to_string(options.group_size) +
                 "; the work-group needs >= 1 lane");
-  }
-  if (options.cg_iters <= 0) {
-    throw Error("invalid cg_iters = " + std::to_string(options.cg_iters) +
-                "; the truncated CG row solver needs >= 1 inner iteration");
   }
   if (options.subspace_block < 0 || options.subspace_block > options.k) {
     throw Error("invalid subspace_block = " +

@@ -18,12 +18,14 @@ enum class LinearSolverKind {
 };
 
 /// Row-solver strategy for the per-row normal equations (docs/solvers.md).
+/// The values are mixed into trajectory_hash, so they are fixed: 1 belonged
+/// to a truncated-CG strategy that is gone, and subspace keeps 2 so that
+/// its checkpoints stay loadable.
 enum class RowSolverKind {
-  kCholesky,  ///< exact solve via LinearSolverKind (the paper's S3)
-  kCg,        ///< truncated conjugate gradient, warm-started from the
-              ///< previous factor row (rusket-style, cg_iters ≈ 3)
-  kSubspace,  ///< iALS++-style block coordinate sweep: d×d subsystems over
-              ///< the k coordinates, warm-started like CG
+  kCholesky = 0,  ///< exact solve via LinearSolverKind (the paper's S3)
+  kSubspace = 2,  ///< iALS++-style block coordinate sweep: d×d subsystems
+                  ///< over the k coordinates, warm-started from the
+                  ///< previous factor row
 };
 
 /// Storage width of the factor/rating buffers (the mixed-precision axis,
@@ -106,11 +108,9 @@ struct AlsOptions : FactorOptionsBase {
   int tile_rows = 0;
   LinearSolverKind solver = LinearSolverKind::kCholesky;
   /// Row-solver strategy for step S3. kCholesky reproduces the paper's
-  /// exact solve bit-for-bit; kCg and kSubspace trade per-row accuracy for
+  /// exact solve bit-for-bit; kSubspace trades per-row accuracy for
   /// time-to-quality (docs/solvers.md).
   RowSolverKind row_solver = RowSolverKind::kCholesky;
-  /// Truncated-CG inner iterations per row solve (row_solver == kCg).
-  int cg_iters = 3;
   /// Subspace block size d (row_solver == kSubspace). 0 = auto: max(2, k/2),
   /// clamped to k.
   int subspace_block = 0;

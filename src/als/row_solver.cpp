@@ -7,7 +7,6 @@
 
 #include "als/row_solve.hpp"
 #include "common/error.hpp"
-#include "linalg/cg.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "robust/fault_injection.hpp"
@@ -49,41 +48,6 @@ class CholeskyRowSolver final : public RowSolver {
 
  private:
   LinearSolverKind linear_;
-};
-
-class CgRowSolver final : public RowSolver {
- public:
-  explicit CgRowSolver(int iters) : iters_(iters) { ALSMF_CHECK(iters > 0); }
-
-  RowSolverKind kind() const override { return RowSolverKind::kCg; }
-
-  bool solve(real* smat, real* svec, int k, const real* warm,
-             real* scratch) const override {
-    if (inject_solve_fault(svec, k)) return true;
-    real* x = scratch;
-    CgScratch cg{scratch + k, scratch + 2 * k, scratch + 3 * k};
-    if (warm) {
-      std::copy(warm, warm + k, x);
-    } else {
-      std::fill(x, x + k, real{0});
-    }
-    cg_solve(smat, k, svec, x, iters_, cg);
-    std::copy(x, x + k, svec);
-    return true;
-  }
-
-  bool uses_warm_start() const override { return true; }
-
-  std::size_t scratch_reals(int k) const override {
-    return 4 * static_cast<std::size_t>(k);
-  }
-
-  double modeled_flops(int k) const override {
-    return cg_solve_flops(k, iters_);
-  }
-
- private:
-  int iters_;
 };
 
 /// iALS++-style block coordinate sweep: one pass over ⌈k/d⌉ coordinate
@@ -184,8 +148,6 @@ std::unique_ptr<RowSolver> make_row_solver(const AlsOptions& options) {
   switch (options.row_solver) {
     case RowSolverKind::kCholesky:
       return std::make_unique<CholeskyRowSolver>(options.solver);
-    case RowSolverKind::kCg:
-      return std::make_unique<CgRowSolver>(options.cg_iters);
     case RowSolverKind::kSubspace:
       return std::make_unique<SubspaceRowSolver>(
           options.effective_subspace_block());

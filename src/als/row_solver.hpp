@@ -6,10 +6,9 @@
 //
 //  * cholesky — exact factorization (the paper's S3, bit-identical to the
 //               pre-strategy code path).
-//  * cg       — truncated conjugate gradient, warm-started from the row's
-//               previous factor value (rusket-style, cg_iters ≈ 3).
 //  * subspace — iALS++-style block coordinate sweep: ⌈k/d⌉ exact d×d
-//               solves per row, warm-started like CG.
+//               solves per row, warm-started from the row's previous
+//               factor value.
 //
 // The strategy objects are stateless and shared across work-groups; any
 // per-solve scratch is caller-provided (scratch_reals), so concurrent
@@ -32,7 +31,7 @@ class RowSolver {
   virtual RowSolverKind kind() const = 0;
 
   /// Solves smat·x = svec in place (svec becomes x_u). `warm` seeds the
-  /// iterative strategies with the row's previous factor value (nullptr =
+  /// iterative strategy with the row's previous factor value (nullptr =
   /// zero start); the exact solve ignores it. `scratch` must hold at least
   /// scratch_reals(k) reals. Returns false when the solve failed and svec
   /// was zero-filled.
@@ -51,7 +50,7 @@ class RowSolver {
   virtual double modeled_flops(int k) const = 0;
 };
 
-/// Builds the strategy selected by `options` (row_solver, solver, cg_iters,
+/// Builds the strategy selected by `options` (row_solver, solver,
 /// subspace_block).
 std::unique_ptr<RowSolver> make_row_solver(const AlsOptions& options);
 
@@ -63,14 +62,15 @@ std::unique_ptr<RowSolver> make_exact_row_solver(LinearSolverKind linear);
 /// Cholesky plus the cross-block right-hand-side corrections).
 double subspace_solve_flops(int k, int d);
 
-/// Anderson acceleration (type II) of the outer fixed point z ← G(z),
-/// where z stacks the flattened (X, Y) factors. Keeps a window of the last
-/// m residual/iterate differences and replaces G(z) with the least-squares
-/// combination that minimizes the linearized residual — typically 30–50%
-/// fewer outer iterations at equal quality on ALS (rusket, SNIPPETS.md).
+/// Anderson acceleration (type II) of an outer fixed point z ← G(z) of
+/// length `dim`; AlsSolver mixes the Y-only map (z is the flattened Y,
+/// solver.cpp). Keeps a window of the last m residual/iterate differences
+/// and replaces G(z) with the least-squares combination that minimizes the
+/// linearized residual. Whether that saves outer iterations depends on the
+/// problem: docs/solvers.md tabulates where it pays and where it does not.
 class AndersonMixer {
  public:
-  /// `dim` is the stacked iterate length; `m` the history window (≥ 1).
+  /// `dim` is the iterate length; `m` the history window (≥ 1).
   AndersonMixer(std::size_t dim, int m);
 
   /// Given the pre-update iterate z and its fixed-point image g = G(z)

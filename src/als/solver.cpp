@@ -36,7 +36,10 @@ std::uint64_t trajectory_hash(const AlsOptions& options, const Csr& train) {
   // pre-strategy checkpoint (implicitly cholesky, no mixing) keeps its hash.
   if (options.row_solver != RowSolverKind::kCholesky) {
     mix(static_cast<std::uint64_t>(options.row_solver));
-    mix(static_cast<std::uint64_t>(options.cg_iters));
+    // 3 was the inner-iteration count of the removed truncated-CG
+    // strategy, which every non-exact run mixed in; mixing the constant
+    // keeps subspace checkpoints loadable.
+    mix(3);
     mix(static_cast<std::uint64_t>(options.effective_subspace_block()));
   }
   if (options.anderson_m > 0) {

@@ -27,7 +27,7 @@ namespace alsmf {
 
 /// Hash of everything that determines the training trajectory: k, λ, seed,
 /// regularization mode, linear solver, row-solver strategy (plus its
-/// cg_iters / subspace_block knobs when non-exact), Anderson window,
+/// subspace_block knob when non-exact), Anderson window,
 /// factor storage precision (when non-fp32), and the training matrix
 /// shape/nnz. Stored in checkpoints; resume refuses a
 /// checkpoint whose hash differs. Launch shape and guard knobs are

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
+#include <string>
 
 #include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
@@ -123,9 +124,7 @@ class GroupCtx {
     const std::size_t aligned = (bytes + 63) / 64 * 64;
     const std::size_t new_offset = offset_ + aligned;
     ALSMF_CHECK_MSG(new_offset <= local_capacity(),
-                    profile_->has_hw_local_mem
-                        ? "local memory request exceeds device capacity"
-                        : "emulated local memory request too large");
+                    local_overflow_message(name, bytes));
     auto* p = reinterpret_cast<T*>(arena_->data() + offset_);
     const std::size_t at = offset_;
     offset_ = new_offset;
@@ -204,6 +203,19 @@ class GroupCtx {
   }
 
  private:
+  /// What a failed local_alloc reports: the buffer, its size, where it
+  /// would start and the capacity it overruns. Built only on failure.
+  std::string local_overflow_message(const char* name,
+                                     std::size_t bytes) const {
+    return std::string("local buffer '") + name + "' of " +
+           std::to_string(bytes) + " bytes at offset " +
+           std::to_string(offset_) + " exceeds the " +
+           std::to_string(local_capacity()) + "-byte " +
+           (profile_->has_hw_local_mem ? "scratch-pad" :
+                                         "emulated scratch-pad") +
+           " of " + profile_->name;
+  }
+
   const DeviceProfile* profile_;
   std::size_t group_id_;
   int group_size_;

@@ -265,7 +265,6 @@ class KernelLowerer {
     eval_define("K", tu_.defines, out_.k);
     eval_define("WS", tu_.defines, out_.ws);
     eval_define("TILE_ROWS", tu_.defines, out_.tile_rows_define);
-    eval_define("CG_ITERS", tu_.defines, out_.cg_iters);
     if (tu_.storage_t_bytes != 0) {
       out_.storage_bytes = static_cast<int>(tu_.storage_t_bytes);
       out_.storage_base = tu_.storage_t_base;
@@ -1317,7 +1316,6 @@ class KernelLowerer {
       const Expr& call = *s.body[0]->cond;
       if (call.name != "barrier" && call.name.rfind("get_", 0) != 0) {
         out_.has_lane0_solve = true;
-        out_.lane0_solve_callee = call.name;
         mark_used_expr(call);
         return;
       }

@@ -226,7 +226,6 @@ struct KernelIR {
   long k = 0;                    // from #define K
   long ws = 0;                   // from #define WS
   long tile_rows_define = 0;     // from #define TILE_ROWS
-  long cg_iters = 0;             // from #define CG_ITERS (0: not a cg kernel)
   /// Storage width of the factor/rating buffers, from `typedef ... storage_t`
   /// (4 = plain real_t storage). Narrow storage halves the already-priced
   /// per-reference byte widths; the static profile additionally retags
@@ -266,9 +265,6 @@ struct KernelIR {
 
   /// Kernel calls a single-lane solve helper per row (`if (lx == 0) f(...)`).
   bool has_lane0_solve = false;
-  /// Name of that helper — selects the S3 flop model ("cg_solve_inplace"
-  /// prices as truncated CG over cg_iters; anything else as Cholesky).
-  std::string lane0_solve_callee;
   /// Unrolled per-lane scalar accumulators (the registers optimization).
   bool has_unrolled_accumulators = false;
   /// Hot-loop scratch-pad staging (the local-memory optimization).

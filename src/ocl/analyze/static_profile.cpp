@@ -9,7 +9,6 @@
 
 #include "als/kernel_model.hpp"
 #include "common/json.hpp"
-#include "linalg/cg.hpp"
 #include "linalg/cholesky.hpp"
 
 namespace alsmf::ocl::analyze {
@@ -281,17 +280,11 @@ StaticKernelProfile build_static_profile(const KernelIR& ir,
                          kernel_model::kBarrierSlots;
   }
 
-  // The small per-row solve: serialized on lane 0 of a batched group (the
-  // other lanes idle), or inlined per work-item in the flat mapping. The
-  // flop model follows the helper the kernel calls: truncated CG for the
-  // cg row-solver kernels, Cholesky otherwise.
-  const bool cg_solve =
-      ir.lane0_solve_callee == "cg_solve_inplace" && ir.cg_iters > 0;
+  // The small per-row Cholesky solve: serialized on lane 0 of a batched
+  // group (the other lanes idle), or inlined per work-item in the flat
+  // mapping.
   const double s3 =
-      ir.k > 0 ? (cg_solve ? cg_solve_flops(static_cast<int>(ir.k),
-                                            static_cast<int>(ir.cg_iters))
-                           : cholesky_solve_flops(static_cast<int>(ir.k)))
-               : 0.0;
+      ir.k > 0 ? cholesky_solve_flops(static_cast<int>(ir.k)) : 0.0;
   if (ir.has_lane0_solve) {
     c.lane_ops_scalar += rows * lanes * s3;
   } else if (!ir.batched_mapping) {

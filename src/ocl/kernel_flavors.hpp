@@ -20,15 +20,13 @@ struct KernelFlavor {
   std::string source;  ///< the generated OpenCL C
   bool batched = false;
   AlsVariant variant;  ///< meaningful when batched
-  RowSolverKind row_solver = RowSolverKind::kCholesky;
   StoragePrecision storage = StoragePrecision::kFp32;
 };
 
 /// Every generated flavor at `config`, in the pinned sweep order:
-/// flat, the 8 batched cholesky variants, the 8 batched cg variants, then
-/// the 8 batched cholesky variants × {fp16, bf16} storage (33 total).
-/// `config.row_solver` / `config.storage` are overridden per flavor; the
-/// remaining fields (k, group size, tile rows) apply to all of them.
+/// flat, the 8 batched variants, then the 8 batched variants × {fp16,
+/// bf16} storage (25 total). `config.storage` is overridden per flavor;
+/// the remaining fields (k, group size, tile rows) apply to all of them.
 std::vector<KernelFlavor> enumerate_kernel_flavors(const KernelConfig& config);
 
 }  // namespace alsmf::ocl

@@ -59,9 +59,6 @@ std::string kernel_preamble(const KernelConfig& c) {
   os << "#define K " << c.k << "\n";
   os << "#define WS " << c.group_size << "\n";
   os << "#define TILE_ROWS " << c.tile_rows << "\n";
-  if (c.row_solver == RowSolverKind::kCg) {
-    os << "#define CG_ITERS " << c.cg_iters << "\n";
-  }
   os << "\n";
   // Single-lane Cholesky solve of the K x K system (step S3).
   os << "// S3: Cholesky factorization + forward/backward substitution,\n";
@@ -91,63 +88,11 @@ std::string kernel_preamble(const KernelConfig& c) {
   os << "    b[i] = s / a[i * K + i];\n";
   os << "  }\n";
   os << "}\n\n";
-  if (c.row_solver == RowSolverKind::kCg) {
-    // Single-lane truncated CG (step S3, cg row solver): CG_ITERS steps
-    // on the K x K system, warm-started from x (the row's previous factor
-    // value, staged by the caller); the solution lands back in b. Mirrors
-    // linalg/cg.cpp including the converged/indefinite early exits.
-    os << "// S3 (cg): CG_ITERS conjugate-gradient steps on lane 0,\n";
-    os << "// warm-started from the row's previous factor value in x.\n";
-    os << "inline void cg_solve_inplace(__local real_t* a,\n";
-    os << "                             __local real_t* b,\n";
-    os << "                             __local real_t* x,\n";
-    os << "                             __local real_t* r,\n";
-    os << "                             __local real_t* p,\n";
-    os << "                             __local real_t* ap) {\n";
-    os << "  for (int i = 0; i < K; ++i) {\n";
-    os << "    real_t s = (real_t)0;\n";
-    os << "    for (int j = 0; j < K; ++j) s += a[i * K + j] * x[j];\n";
-    os << "    r[i] = b[i] - s;\n";
-    os << "    p[i] = r[i];\n";
-    os << "  }\n";
-    os << "  real_t rs = (real_t)0;\n";
-    os << "  for (int i = 0; i < K; ++i) rs += r[i] * r[i];\n";
-    os << "  for (int it = 0; it < CG_ITERS; ++it) {\n";
-    os << "    if (!(rs > (real_t)0)) break;\n";
-    os << "    real_t pap = (real_t)0;\n";
-    os << "    for (int i = 0; i < K; ++i) {\n";
-    os << "      real_t s = (real_t)0;\n";
-    os << "      for (int j = 0; j < K; ++j) s += a[i * K + j] * p[j];\n";
-    os << "      ap[i] = s;\n";
-    os << "      pap += p[i] * s;\n";
-    os << "    }\n";
-    os << "    if (!(pap > (real_t)0)) break;\n";
-    os << "    const real_t alpha = rs / pap;\n";
-    os << "    real_t rs_next = (real_t)0;\n";
-    os << "    for (int i = 0; i < K; ++i) {\n";
-    os << "      x[i] += alpha * p[i];\n";
-    os << "      r[i] -= alpha * ap[i];\n";
-    os << "      rs_next += r[i] * r[i];\n";
-    os << "    }\n";
-    os << "    const real_t beta = rs_next / rs;\n";
-    os << "    rs = rs_next;\n";
-    os << "    for (int i = 0; i < K; ++i) p[i] = r[i] + beta * p[i];\n";
-    os << "  }\n";
-    os << "  for (int i = 0; i < K; ++i) b[i] = x[i];\n";
-    os << "}\n\n";
-  }
   return os.str();
 }
 
-std::string kernel_name(const AlsVariant& v, RowSolverKind row_solver) {
+std::string kernel_name(const AlsVariant& v, StoragePrecision storage) {
   std::string name = kernel_name(v);
-  if (row_solver == RowSolverKind::kCg) name += "_cg";
-  return name;
-}
-
-std::string kernel_name(const AlsVariant& v, RowSolverKind row_solver,
-                        StoragePrecision storage) {
-  std::string name = kernel_name(v, row_solver);
   if (storage == StoragePrecision::kFp16) name += "_f16";
   if (storage == StoragePrecision::kBf16) name += "_bf16";
   return name;
@@ -173,14 +118,11 @@ std::string batched_kernel_source(const AlsVariant& v,
                                   const KernelConfig& c) {
   ALSMF_CHECK_MSG(v.thread_batching, "use flat_kernel_source for the baseline");
   const bool mixed = c.storage != StoragePrecision::kFp32;
-  ALSMF_CHECK_MSG(!mixed || c.row_solver == RowSolverKind::kCholesky,
-                  "no mixed-precision CG flavor: the CG iterate's value "
-                  "range is not certifiable against narrow storage");
   ALSMF_CHECK_MSG(!mixed || !c.use_double,
                   "mixed precision pairs narrow storage with float "
                   "accumulation, not double");
   std::ostringstream os;
-  const std::string name = kernel_name(v, c.row_solver, c.storage);
+  const std::string name = kernel_name(v, c.storage);
   emit_header_comment(os, name, v, c);
   os << kernel_preamble(c);
 
@@ -207,14 +149,6 @@ std::string batched_kernel_source(const AlsVariant& v,
   os << "\n";
   os << "  __local real_t smat[K * K];\n";
   os << "  __local real_t svec[K];\n";
-  if (c.row_solver == RowSolverKind::kCg) {
-    os << "  // cg scratch: the warm-start iterate plus the residual,\n";
-    os << "  // direction and mat-vec buffers of cg_solve_inplace.\n";
-    os << "  __local real_t cgx[K];\n";
-    os << "  __local real_t cgr[K];\n";
-    os << "  __local real_t cgp[K];\n";
-    os << "  __local real_t cgap[K];\n";
-  }
   if (v.use_local) {
     os << "  // §III-C2: stage the gathered columns of Y and the row's\n";
     os << "  // ratings in on-chip local memory (Fig. 5).\n";
@@ -335,16 +269,8 @@ std::string batched_kernel_source(const AlsVariant& v,
   os << "    }\n";
   os << "    barrier(CLK_LOCAL_MEM_FENCE);\n";
   os << "\n";
-  if (c.row_solver == RowSolverKind::kCg) {
-    os << "    // S3 on lane 0: truncated CG, warm-started from the row's\n";
-    os << "    // previous factor value (cooperatively staged into cgx)\n";
-    os << "    for (int f = lx; f < K; f += WS) cgx[f] = X[u * K + f];\n";
-    os << "    barrier(CLK_LOCAL_MEM_FENCE);\n";
-    os << "    if (lx == 0) cg_solve_inplace(smat, svec, cgx, cgr, cgp, cgap);\n";
-  } else {
-    os << "    // S3 on lane 0 (k x k system)\n";
-    os << "    if (lx == 0) cholesky_solve_inplace(smat, svec);\n";
-  }
+  os << "    // S3 on lane 0 (k x k system)\n";
+  os << "    if (lx == 0) cholesky_solve_inplace(smat, svec);\n";
   os << "    barrier(CLK_LOCAL_MEM_FENCE);\n";
   os << "\n";
   if (mixed) {

@@ -22,18 +22,11 @@ struct KernelConfig {
   int group_size = 32;     ///< work-group size (compile-time constant: WS)
   int tile_rows = 256;     ///< local-memory staging tile rows (local variant)
   bool use_double = false; ///< emit double-precision kernels
-  /// S3 strategy for the batched kernels: cholesky emits the exact
-  /// lane-0 solve; cg emits warm-started truncated conjugate gradient
-  /// (compile-time constant: CG_ITERS). Subspace has no generated form —
-  /// its devsim kernel reuses the cholesky pricing shape.
-  RowSolverKind row_solver = RowSolverKind::kCholesky;
-  int cg_iters = 3;        ///< CG steps (cg row solver only)
   /// Storage width of the factor/rating buffers (the mixed-precision axis):
   /// fp16/bf16 emit a `storage_t` typedef and narrow the values/Y/X
   /// parameters while every accumulator stays real_t. Only the batched
-  /// cholesky variants have narrow flavors — the CG iterate's value range
-  /// is not certifiable against the fp16 ceiling (docs/static-analysis.md),
-  /// and the flat baseline is a comparison point we keep exact.
+  /// variants have narrow flavors — the flat baseline is a comparison
+  /// point we keep exact.
   StoragePrecision storage = StoragePrecision::kFp32;
 };
 
@@ -55,19 +48,13 @@ std::string build_options(const KernelConfig& config);
 /// Kernel entry-point name for a variant ("als_update_batch_local_reg"...).
 std::string kernel_name(const AlsVariant& variant);
 
-/// Entry-point name for a variant × row-solver pair; the cg strategy
-/// appends "_cg" ("als_update_batch_local_reg_cg"...).
-std::string kernel_name(const AlsVariant& variant, RowSolverKind row_solver);
+/// Entry-point name for a variant × storage pair; fp16 appends "_f16",
+/// bf16 appends "_bf16".
+std::string kernel_name(const AlsVariant& variant, StoragePrecision storage);
 
-/// Entry-point name for a variant × row-solver × storage triple; fp16
-/// appends "_f16", bf16 appends "_bf16".
-std::string kernel_name(const AlsVariant& variant, RowSolverKind row_solver,
-                        StoragePrecision storage);
-
-/// Writes all 33 kernels (8 batched variants × {cholesky, cg} + flat +
-/// 8 batched cholesky variants × {fp16, bf16} storage) into a directory,
-/// one .cl file each; returns the number written. The set is
-/// enumerate_kernel_flavors (ocl/kernel_flavors.hpp).
+/// Writes all 25 kernels (flat + 8 batched variants × {fp32, fp16, bf16}
+/// storage) into a directory, one .cl file each; returns the number
+/// written. The set is enumerate_kernel_flavors (ocl/kernel_flavors.hpp).
 int write_kernel_files(const std::string& directory,
                        const KernelConfig& config);
 

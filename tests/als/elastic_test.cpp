@@ -257,7 +257,7 @@ TEST(ElasticMultiDevice, LinkExhaustionFailsTheDeviceOver) {
 }
 
 TEST(ElasticMultiDevice, RecoveryMatchesSingleDeviceForEveryRowSolver) {
-  // CG and subspace warm-start each row from its previous factor value, so
+  // Subspace warm-starts each row from its previous factor value, so
   // a launch that re-solves rows after their first solve already landed in
   // dst (speculation, link failover) must still start from the factor as
   // it stood before the half-update.
@@ -282,9 +282,8 @@ TEST(ElasticMultiDevice, RecoveryMatchesSingleDeviceForEveryRowSolver) {
   for (Case& c : cases) c.plan.seed = testing::fault_seed();
 
   const Csr train = testing::random_csr(70, 45, 0.15, 212);
-  for (const RowSolverKind kind : {RowSolverKind::kCholesky,
-                                   RowSolverKind::kCg,
-                                   RowSolverKind::kSubspace}) {
+  for (const RowSolverKind kind :
+       {RowSolverKind::kCholesky, RowSolverKind::kSubspace}) {
     AlsOptions o = opts();
     o.row_solver = kind;
     devsim::Device device(devsim::k20c());

@@ -76,9 +76,10 @@ TEST(Autotune, RejectsInvalidOptions) {
 TEST(Autotune, PicksOnlyConfigurationsThatFitLocalMemory) {
   // On the GPU every batched kernel keeps the k×k system in the 48 KB
   // scratch-pad: with the exact solver, at k = 110 only the non-local
-  // variants fit and from k = 111 none does; CG's per-row scratch crowds the
-  // staging tile out from k = 108. The oracle is the launch itself: a grid
-  // point fits when one accounting iteration of it does not throw.
+  // variants fit and from k = 111 none does; the subspace sweep's per-row
+  // scratch (k + d² + d reals, d = k/2) crowds the staging tile out at
+  // k = 98 and leaves no room from k = 99. The oracle is the launch itself:
+  // a grid point fits when one accounting iteration of it does not throw.
   const Csr train = testing::random_csr(300, 200, 0.1, 17);
   const devsim::DeviceProfile gpu = devsim::k20c();
   struct Case {
@@ -90,8 +91,8 @@ TEST(Autotune, PicksOnlyConfigurationsThatFitLocalMemory) {
                         Case{RowSolverKind::kCholesky, 109, 80},
                         Case{RowSolverKind::kCholesky, 110, 16},
                         Case{RowSolverKind::kCholesky, 111, 0},
-                        Case{RowSolverKind::kCg, 108, 16},
-                        Case{RowSolverKind::kCg, 110, 0}}) {
+                        Case{RowSolverKind::kSubspace, 98, 16},
+                        Case{RowSolverKind::kSubspace, 99, 0}}) {
     SCOPED_TRACE("k = " + std::to_string(c.k) + ", row solver " +
                  std::to_string(static_cast<int>(c.solver)));
     AlsOptions o = opts();

@@ -421,5 +421,25 @@ TEST(GroupCtxLocal, OverCapacityAllocationThrows) {
       Error);
 }
 
+TEST(GroupCtxLocal, OverflowErrorNamesBufferSizeOffsetAndCapacity) {
+  Device device(k20c());  // 49152-byte scratch-pad
+  LaunchConfig config;
+  config.num_groups = 1;
+  config.group_size = 4;
+  std::string message;
+  try {
+    device.launch("overflow", config, [&](GroupCtx& ctx) {
+      (void)ctx.local_alloc<float>(1000, "smat");         // 4000 B → 4032
+      (void)ctx.local_alloc<float>(12000, "solve_scratch");  // 48000 B
+    });
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("'solve_scratch'"), std::string::npos) << message;
+  EXPECT_NE(message.find("48000 bytes"), std::string::npos) << message;
+  EXPECT_NE(message.find("offset 4032"), std::string::npos) << message;
+  EXPECT_NE(message.find("49152-byte"), std::string::npos) << message;
+}
+
 }  // namespace
 }  // namespace alsmf::devsim

@@ -30,9 +30,8 @@ bool is_narrow(const std::string& kernel) {
          kernel.find("_bf16") != std::string::npos;
 }
 
-// flat + 8 batched variants (cholesky + cg flavors) + the fp16/bf16
-// storage flavors of the cholesky variants.
-constexpr std::size_t kFlavors = 4 * AlsVariant::kVariantCount + 1;
+// flat + 8 batched variants + their fp16/bf16 storage flavors.
+constexpr std::size_t kFlavors = 3 * AlsVariant::kVariantCount + 1;
 
 TEST(CertifyKernels, CheckedExecutionIsClean) {
   const KernelCertificate& cert = certificate();
@@ -42,11 +41,11 @@ TEST(CertifyKernels, CheckedExecutionIsClean) {
         << entry.report.to_json();
   }
   EXPECT_TRUE(cert.checked_clean());
-  // flat + 8 variants + their 8 CG flavors + flat/cg + subspace + 4
-  // forced-tile re-runs + implicit, x3 profiles; the implicit iteration is
-  // two launches.
-  EXPECT_EQ(cert.checked.size(), 24u * 3u);
-  EXPECT_EQ(cert.checked_launches, 25u * 3u);
+  // flat + 8 variants, each again with the subspace solve, + 4 forced-tile
+  // re-runs + implicit, x3 profiles; the implicit iteration is two
+  // launches.
+  EXPECT_EQ(cert.checked.size(), 23u * 3u);
+  EXPECT_EQ(cert.checked_launches, 24u * 3u);
   EXPECT_EQ(cert.checked_findings, 0u);
   EXPECT_TRUE(cert.clean());
 }
@@ -62,7 +61,7 @@ TEST(CheckKernels, JsonExportCarriesEntries) {
   const json::Value root = json::parse(text);
   const json::Value& checked = root.at("checked_execution");
   EXPECT_TRUE(checked.at("clean").as_bool());
-  EXPECT_EQ(checked.at("launches").as_double(), 75);
+  EXPECT_EQ(checked.at("launches").as_double(), 72);
   const auto& entries = checked.at("entries").array();
   ASSERT_EQ(entries.size(), cert.checked.size());
   EXPECT_EQ(entries.front().at("kernel").as_string(), "flat");
@@ -78,7 +77,7 @@ TEST(AnalyzeKernels, SweepIsCleanAndCoversEveryKernel) {
     SCOPED_TRACE("tile " + std::to_string(tile.tile_rows));
     EXPECT_TRUE(tile.clean());
     for (const auto& issue : tile.lint_issues) ADD_FAILURE() << issue;
-    // 8 batched x {cholesky, cg, fp16, bf16} + flat, per profile.
+    // 8 batched x {fp32, fp16, bf16} + flat, per profile.
     EXPECT_EQ(tile.static_profiles.size(), 3 * kFlavors);
     std::set<std::string> kernels;
     for (const auto& e : tile.static_profiles) {
@@ -174,8 +173,8 @@ void expect_verifier_proves_every_flavor(const TileCertificate& tile) {
     refs += r.refs_total;
     pairs += r.pairs_checked;
   }
-  EXPECT_EQ(refs, 962);
-  EXPECT_EQ(pairs, 1355);
+  EXPECT_EQ(refs, 718);
+  EXPECT_EQ(pairs, 999);
 }
 
 TEST(Verify, AllGeneratedKernelsFullyProvenOnAllProfiles) {

@@ -21,8 +21,8 @@ namespace {
 
 // CRC-32 (robust/crc32.hpp) of each generated source at the default
 // configuration (k=10, WS=32, TILE_ROWS=256, float compute), in the pinned
-// sweep order: flat, 8 batched cholesky, 8 batched cg, then the 8 batched
-// cholesky variants × {fp16, bf16} storage.
+// sweep order: flat, the 8 batched variants, then the 8 batched variants ×
+// {fp16, bf16} storage.
 //
 // Regenerating after a DELIBERATE generator change: run the test; each
 // mismatch prints the new hash in this table's format — paste it here and
@@ -38,14 +38,6 @@ const std::vector<std::pair<std::string, std::uint32_t>> kGolden = {
     {"als_update_batch_reg_vec", 0xc6b2d618u},
     {"als_update_batch_local_vec", 0x5ca36e84u},
     {"als_update_batch_local_reg_vec", 0x819b91c6u},
-    {"als_update_batch_cg", 0xa9afc7c8u},
-    {"als_update_batch_reg_cg", 0xd270faa7u},
-    {"als_update_batch_local_cg", 0x42e3769bu},
-    {"als_update_batch_local_reg_cg", 0x5a6dd34eu},
-    {"als_update_batch_vec_cg", 0xa3f4bafcu},
-    {"als_update_batch_reg_vec_cg", 0x94b3a95au},
-    {"als_update_batch_local_vec_cg", 0x283870f1u},
-    {"als_update_batch_local_reg_vec_cg", 0x2e23c6c2u},
     {"als_update_batch_f16", 0x44514c86u},
     {"als_update_batch_reg_f16", 0x31c41c56u},
     {"als_update_batch_local_f16", 0x22fa4b5au},
@@ -69,8 +61,8 @@ constexpr char kRegen[] = "export_kernels --out <dir>";
 TEST(GoldenKernels, EveryGeneratedSourceMatchesItsPinnedHash) {
   const KernelConfig c;  // defaults = what export_kernels emits
   const std::vector<KernelFlavor> flavors = enumerate_kernel_flavors(c);
-  // flat + 8 cholesky + 8 cg + 8 fp16 + 8 bf16.
-  ASSERT_EQ(kGolden.size(), 4 * AlsVariant::kVariantCount + 1)
+  // flat + 8 fp32 + 8 fp16 + 8 bf16.
+  ASSERT_EQ(kGolden.size(), 3 * AlsVariant::kVariantCount + 1)
       << "a kernel flavor family was added or removed: extend kGolden";
   ASSERT_EQ(flavors.size(), kGolden.size());
   for (std::size_t i = 0; i < flavors.size(); ++i) {

@@ -16,14 +16,13 @@ namespace {
 TEST(KernelFlavors, FlavorsInPinnedOrder) {
   const std::vector<KernelFlavor> flavors =
       enumerate_kernel_flavors(KernelConfig{});
-  ASSERT_EQ(flavors.size(), 4 * AlsVariant::kVariantCount + 1);
-  // Pinned sweep order: flat, 8 cholesky, 8 cg, 8 fp16, 8 bf16.
+  ASSERT_EQ(flavors.size(), 3 * AlsVariant::kVariantCount + 1);
+  // Pinned sweep order: flat, 8 fp32, 8 fp16, 8 bf16.
   EXPECT_EQ(flavors[0].name, "als_update_flat");
   EXPECT_EQ(flavors[1].name, "als_update_batch");
-  EXPECT_EQ(flavors[9].name, "als_update_batch_cg");
-  EXPECT_EQ(flavors[17].name, "als_update_batch_f16");
-  EXPECT_EQ(flavors[25].name, "als_update_batch_bf16");
-  EXPECT_EQ(flavors[32].name, "als_update_batch_local_reg_vec_bf16");
+  EXPECT_EQ(flavors[9].name, "als_update_batch_f16");
+  EXPECT_EQ(flavors[17].name, "als_update_batch_bf16");
+  EXPECT_EQ(flavors[24].name, "als_update_batch_local_reg_vec_bf16");
 }
 
 TEST(KernelFlavors, NamesUniqueAndPresentInSource) {
@@ -45,25 +44,20 @@ TEST(KernelFlavors, MetadataMatchesNameSuffixes) {
     EXPECT_EQ(f.storage == StoragePrecision::kFp16, is_f16) << f.name;
     EXPECT_EQ(f.storage == StoragePrecision::kBf16, is_bf16) << f.name;
     if (f.storage != StoragePrecision::kFp32) {
-      // Only the batched cholesky variants have narrow flavors: the CG
-      // iterate's range is not certifiable against the fp16 ceiling, and
-      // flat is a kept-exact comparison baseline.
+      // Only the batched variants have narrow flavors: flat is a
+      // kept-exact comparison baseline.
       EXPECT_TRUE(f.batched) << f.name;
-      EXPECT_EQ(f.row_solver, RowSolverKind::kCholesky) << f.name;
     }
-    const bool is_cg = f.name.find("_cg") != std::string::npos;
-    EXPECT_EQ(f.row_solver == RowSolverKind::kCg, is_cg) << f.name;
     const bool is_flat = f.name.rfind("als_update_flat", 0) == 0;
     EXPECT_EQ(f.batched, !is_flat) << f.name;
   }
 }
 
-TEST(KernelFlavors, ConfigRowSolverAndStorageAreOverriddenPerFlavor) {
-  // A caller's row_solver/storage must not leak into the enumeration: the
-  // sweep covers all flavor families regardless of the passed config.
+TEST(KernelFlavors, ConfigStorageIsOverriddenPerFlavor) {
+  // A caller's storage must not leak into the enumeration: the sweep
+  // covers all flavor families regardless of the passed config.
   KernelConfig c;
   c.storage = StoragePrecision::kFp16;
-  c.row_solver = RowSolverKind::kCg;
   const auto biased = enumerate_kernel_flavors(c);
   const auto plain = enumerate_kernel_flavors(KernelConfig{});
   ASSERT_EQ(biased.size(), plain.size());

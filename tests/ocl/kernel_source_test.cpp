@@ -122,7 +122,7 @@ TEST(KernelSource, BuildOptionsEncodeConstants) {
 }
 
 TEST(KernelSource, WritesOneFilePerKernelFlavor) {
-  // flat + 8 cholesky + 8 cg + 8 fp16-storage + 8 bf16-storage = 33.
+  // flat + 8 fp32 + 8 fp16-storage + 8 bf16-storage = 25.
   const int flavors =
       static_cast<int>(enumerate_kernel_flavors(config()).size());
   const std::string dir = ::testing::TempDir() + "/alsmf_kernels";
@@ -153,10 +153,8 @@ TEST(KernelSource, NarrowStorageTypedefAndWideAccumulation) {
             std::string::npos);
   EXPECT_NE(f16.find("real_t sum[K]"), std::string::npos);
   EXPECT_EQ(f16.find("storage_t sum"), std::string::npos);
-  EXPECT_NE(kernel_name(AlsVariant::batching_only(), RowSolverKind::kCholesky,
-                        StoragePrecision::kFp16),
-            kernel_name(AlsVariant::batching_only(), RowSolverKind::kCholesky,
-                        StoragePrecision::kFp32));
+  EXPECT_NE(kernel_name(AlsVariant::batching_only(), StoragePrecision::kFp16),
+            kernel_name(AlsVariant::batching_only(), StoragePrecision::kFp32));
 
   c.storage = StoragePrecision::kBf16;
   const std::string bf16 =

@@ -200,6 +200,19 @@ TEST(Checkpoint, TrajectoryHashCoversTrajectoryOnly) {
   EXPECT_NE(trajectory_hash(base, other), h);
 }
 
+TEST(Checkpoint, TrajectoryHashValuesArePinned) {
+  // A checkpoint resumes only under the hash it was written with, so these
+  // values must not move when strategies or knobs are added or removed.
+  const Csr train = testing::random_csr(40, 30, 0.2, 19);
+  const AlsOptions defaults;
+  EXPECT_EQ(trajectory_hash(defaults, train), 0x688b46a8bdf18cceULL);
+  AlsOptions subspace = defaults;
+  subspace.row_solver = RowSolverKind::kSubspace;
+  EXPECT_EQ(trajectory_hash(subspace, train), 0x963bc77e7eea3287ULL);
+  subspace.subspace_block = 4;
+  EXPECT_EQ(trajectory_hash(subspace, train), 0xf43c840c5f5ff48aULL);
+}
+
 TEST(Checkpoint, SolverRoundTripRestoresFullState) {
   const Csr train = testing::random_csr(40, 30, 0.2, 19);
   const AlsOptions o = train_opts();
