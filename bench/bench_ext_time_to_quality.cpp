@@ -6,9 +6,7 @@
 //
 // Expected shape: the exact Cholesky solve pays the full k³/3 factorization
 // every row; the warm-started subspace sweep pays less per row once the
-// factors settle, at the price of slightly less exact half-updates. Anderson mixing attacks the other axis — fewer outer
-// iterations, paid for with ~1.5x half-updates per mixed iteration
-// (the lookahead acceptance check; docs/solvers.md).
+// factors settle, at the price of slightly less exact half-updates.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,7 +23,6 @@ using namespace alsmf;
 struct SolverLane {
   const char* label;
   RowSolverKind row_solver;
-  int anderson_m;  // 0 = plain outer iteration
 };
 
 struct LaneResult {
@@ -40,7 +37,6 @@ LaneResult run_lane(const Csr& train, const devsim::DeviceProfile& profile,
   o.k = k;
   o.lambda = 0.05f;
   o.row_solver = lane.row_solver;
-  o.anderson_m = lane.anderson_m;
   devsim::Device device(profile);
   const AlsVariant v = profile.kind == devsim::DeviceKind::kGpu
                            ? AlsVariant::batch_local_reg()
@@ -64,8 +60,7 @@ int main(int argc, char** argv) {
   const double extra = parse_bench_args(argc, argv).scale;
 
   print_header("Extension — modeled time to reach a target RMSE",
-               "row-solver strategies (cholesky | subspace | +anderson) "
-               "per device");
+               "row-solver strategies (cholesky | subspace) per device");
 
   const auto& info = dataset_by_abbr("MVLE");
   const double scale = std::max(1.0, default_scale(info) * 4.0 * extra);
@@ -82,9 +77,8 @@ int main(int argc, char** argv) {
               scale, k, target_rmse);
 
   const std::vector<SolverLane> lanes = {
-      {"cholesky", RowSolverKind::kCholesky, 0},
-      {"subspace", RowSolverKind::kSubspace, 0},
-      {"cholesky+aa3", RowSolverKind::kCholesky, 3},
+      {"cholesky", RowSolverKind::kCholesky},
+      {"subspace", RowSolverKind::kSubspace},
   };
 
   std::printf("%-18s", "device");
@@ -106,9 +100,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf(
-      "\nExpected shape: subspace shaves the per-iteration S3 price;\n"
-      "anderson shaves outer iterations. Whether either beats the exact\n"
-      "solve to the target depends on the device's compute/memory balance\n"
-      "(gated in bench_regress's time_to_quality leg).\n");
+      "\nExpected shape: subspace shaves the per-iteration S3 price.\n"
+      "Whether that beats the exact solve to the target depends on the\n"
+      "device's compute/memory balance (gated in bench_regress's\n"
+      "time_to_quality leg).\n");
   return 0;
 }

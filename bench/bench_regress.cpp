@@ -364,8 +364,8 @@ void run_pipeline_smoke(obs::RegressReport& report, const Csr& train,
 // (docs/solvers.md) on the modeled GPU. The target is the exact solver's
 // RMSE after a pinned number of iterations (plus 2% slack), so the leg
 // gates two things: the per-strategy modeled cost trajectory, and that the
-// subspace sweep or Anderson mixing still beats the exact solve to the
-// target (best_over_cholesky < 1, direction-aware).
+// subspace sweep still beats the exact solve to the target
+// (best_over_cholesky < 1, direction-aware).
 void run_time_to_quality(obs::RegressReport& report, const Csr& train) {
   const auto profile = devsim::profile_by_name("gpu");
   const AlsVariant variant = AlsVariant::from_mask(7);
@@ -389,19 +389,16 @@ void run_time_to_quality(obs::RegressReport& report, const Csr& train) {
   struct Lane {
     const char* label;
     RowSolverKind row_solver;
-    int anderson_m;
   };
   const std::vector<Lane> lanes = {
-      {"cholesky", RowSolverKind::kCholesky, 0},
-      {"subspace", RowSolverKind::kSubspace, 0},
-      {"anderson", RowSolverKind::kCholesky, 3},
+      {"cholesky", RowSolverKind::kCholesky},
+      {"subspace", RowSolverKind::kSubspace},
   };
 
   double cholesky_seconds = 0, best_iterative = -1;
   for (const auto& lane : lanes) {
     AlsOptions o = base;
     o.row_solver = lane.row_solver;
-    o.anderson_m = lane.anderson_m;
     devsim::Device device(profile);
     AlsSolver solver(train, o, variant, device);
     int rounds = 0;
@@ -414,8 +411,7 @@ void run_time_to_quality(obs::RegressReport& report, const Csr& train) {
     const std::string prefix = std::string("time_to_quality.") + lane.label;
     report.add(prefix + ".modeled_seconds", reached ? seconds : -1, "s");
     report.add(prefix + ".iterations", static_cast<double>(rounds), "count");
-    if (lane.row_solver == RowSolverKind::kCholesky &&
-        lane.anderson_m == 0) {
+    if (lane.row_solver == RowSolverKind::kCholesky) {
       cholesky_seconds = seconds;
     } else if (reached &&
                (best_iterative < 0 || seconds < best_iterative)) {
@@ -425,7 +421,7 @@ void run_time_to_quality(obs::RegressReport& report, const Csr& train) {
                 lane.label, rounds, seconds,
                 reached ? "" : " (target not reached)");
   }
-  // < 1 means some iterative/accelerated strategy beats the exact solve.
+  // < 1 means the subspace sweep beats the exact solve.
   const double ratio = best_iterative > 0 && cholesky_seconds > 0
                            ? best_iterative / cholesky_seconds
                            : 2.0;

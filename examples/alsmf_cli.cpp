@@ -4,10 +4,9 @@
 //                       [--iters 10] [--device cpu|gpu|mic] [--profile file]
 //                       [--wr] [--variant auto|0..7]
 //                       [--row-solver cholesky|subspace]
-//                       [--subspace-block 0] [--anderson-m 0]
+//                       [--subspace-block 0]
 //                       (--row-solver picks the S3 strategy — see
-//                       docs/solvers.md; --anderson-m M > 0 turns on
-//                       Anderson acceleration of the outer iteration)
+//                       docs/solvers.md)
 //                       [--checkpoint-dir dir] [--checkpoint-every N]
 //                       [--metrics-out m.prom] [--events-out e.jsonl]
 //                       [--trace-out t.json]
@@ -142,9 +141,8 @@ int cmd_train(const CliArgs& args) {
   if (!accepts_only(args, "train",
                     {"ratings", "model", "k", "lambda", "iters", "device",
                      "profile", "wr", "variant", "row-solver",
-                     "subspace-block", "anderson-m", "checkpoint-dir",
-                     "checkpoint-every", "metrics-out", "events-out",
-                     "trace-out"})) {
+                     "subspace-block", "checkpoint-dir", "checkpoint-every",
+                     "metrics-out", "events-out", "trace-out"})) {
     return 2;
   }
   const auto ratings_path = args.get("ratings");
@@ -172,7 +170,6 @@ int cmd_train(const CliArgs& args) {
   options.row_solver = parse_row_solver(args.get_or("row-solver", "cholesky"));
   options.subspace_block =
       static_cast<int>(args.get_long("subspace-block", 0));
-  options.anderson_m = static_cast<int>(args.get_long("anderson-m", 0));
 
   const auto profile = resolve_profile(args);
   AlsVariant variant;

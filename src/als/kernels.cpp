@@ -492,15 +492,12 @@ devsim::LaunchResult launch_update(devsim::Device& device,
   ALSMF_CHECK(args.src->cols() == args.k && args.dst->cols() == args.k);
   ALSMF_CHECK(group_size > 0);
 
-  // A null strategy means the exact solve via args.solver (the
-  // pre-strategy default); the transient instance lives until the launch
-  // returns (Device::launch is synchronous).
+  // A null strategy means the exact Cholesky solve: one stateless instance
+  // shared by every such launch.
+  static const std::unique_ptr<RowSolver> exact =
+      make_row_solver(AlsOptions{});
   UpdateArgs a = args;
-  std::unique_ptr<RowSolver> exact;
-  if (!a.row_solver) {
-    exact = make_exact_row_solver(a.solver);
-    a.row_solver = exact.get();
-  }
+  if (!a.row_solver) a.row_solver = exact.get();
   // Likewise a transient table when the caller brings none and one pays;
   // implicit rows never sum one (row_solve.hpp).
   ALSMF_CHECK(!a.gram || (a.variant.thread_batching && !a.products));

@@ -56,12 +56,10 @@ struct UpdateArgs {
   int tile_rows = 0;
   int k = 10;
   AlsVariant variant;
-  LinearSolverKind solver = LinearSolverKind::kCholesky;
-  /// S3 row-solver strategy. nullptr = the exact solve selected by
-  /// `solver` (the pre-strategy behavior); launch_update supplies a
-  /// transient exact strategy in that case. The pointee is borrowed and
-  /// must outlive the launch — strategies are stateless and shared safely
-  /// across concurrent groups (scratch is per-group).
+  /// S3 row-solver strategy (make_row_solver). nullptr = the paper's exact
+  /// Cholesky solve. The pointee is borrowed and must outlive the launch —
+  /// strategies are stateless and shared safely across concurrent groups
+  /// (scratch is per-group).
   const RowSolver* row_solver = nullptr;
   /// Product table of `src` (product_table_for). nullptr = launch_update
   /// builds a transient one when product_table_pays, else the kernels

@@ -94,12 +94,8 @@ MultiDeviceAls::MultiDeviceAls(const Csr& train, const AlsOptions& options,
       fault_model_(std::max<std::size_t>(1, profiles.size()), elastic.faults) {
   ALSMF_CHECK_MSG(!profiles.empty(), "need at least one device profile");
   validate(options_);
-  // trajectory_hash folds both fields in, so a checkpoint written with
-  // either set would claim a trajectory this trainer does not run.
-  if (options_.anderson_m > 0) {
-    throw Error("MultiDeviceAls does not mix: anderson_m = " +
-                std::to_string(options_.anderson_m) + "; expected 0");
-  }
+  // trajectory_hash folds storage in, so a checkpoint written with it set
+  // would claim a trajectory this trainer does not run.
   if (options_.storage != StoragePrecision::kFp32) {
     throw Error(std::string("MultiDeviceAls stores factors at fp32 only: "
                             "storage = ") +
@@ -219,7 +215,6 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
   args.tile_rows = options_.tile_rows;
   args.k = k;
   args.variant = variant_;
-  args.solver = options_.solver;
   args.row_solver = row_solver_.get();
   args.products = products_;
 
@@ -231,9 +226,10 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
                         options_.functional);
       out.seconds = result.time.total_s() * fault.slowdown;
       break;
-    } catch (const std::exception&) {
-      // Transient launch fault (robust::FaultSite::kKernelLaunch): retry per
-      // the guard budget; exhausting it counts as losing the device.
+    } catch (const devsim::TransientLaunchError&) {
+      // Retry per the guard budget; exhausting it counts as losing the
+      // device. Any other launch error fails the same way on every device,
+      // so it escapes with its own message.
       if (attempt >= options_.guard_kernel_retries) {
         out.lost = true;
         return out;

@@ -162,10 +162,6 @@ void validate(const AlsOptions& options) {
                 "; expected 0 (auto) or a block size in [1, k = " +
                 std::to_string(options.k) + "]");
   }
-  if (options.anderson_m < 0) {
-    throw Error("invalid anderson_m = " + std::to_string(options.anderson_m) +
-                "; expected 0 (mixing off) or a positive history window");
-  }
   if (options.guard_kernel_retries < 0) {
     throw Error("invalid guard_kernel_retries = " +
                 std::to_string(options.guard_kernel_retries) +

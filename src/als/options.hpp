@@ -114,9 +114,6 @@ struct AlsOptions : FactorOptionsBase {
   /// Subspace block size d (row_solver == kSubspace). 0 = auto: max(2, k/2),
   /// clamped to k.
   int subspace_block = 0;
-  /// Anderson-mixing history window for the outer (U,V) fixed point;
-  /// 0 disables mixing (plain alternation).
-  int anderson_m = 0;
   /// ALS-WR (Zhou et al., the paper's [3]): scale the ridge term per row by
   /// its rating count, λ_u = λ·|Ω_u| — markedly better generalization on
   /// sparse data at the same per-iteration cost.

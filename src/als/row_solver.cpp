@@ -1,7 +1,6 @@
 #include "als/row_solver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -140,10 +139,6 @@ double subspace_solve_flops(int k, int d) {
   return total;
 }
 
-std::unique_ptr<RowSolver> make_exact_row_solver(LinearSolverKind linear) {
-  return std::make_unique<CholeskyRowSolver>(linear);
-}
-
 std::unique_ptr<RowSolver> make_row_solver(const AlsOptions& options) {
   switch (options.row_solver) {
     case RowSolverKind::kCholesky:
@@ -153,148 +148,6 @@ std::unique_ptr<RowSolver> make_row_solver(const AlsOptions& options) {
           options.effective_subspace_block());
   }
   throw Error("unknown RowSolverKind");
-}
-
-AndersonMixer::AndersonMixer(std::size_t dim, int m) : dim_(dim), m_(m) {
-  ALSMF_CHECK(m > 0);
-  ALSMF_CHECK(dim > 0);
-}
-
-void AndersonMixer::reset() {
-  has_prev_ = false;
-  df_.clear();
-  dg_.clear();
-}
-
-void AndersonMixer::mix(const real* z, real* g) {
-  // f = G(z) - z, the fixed-point residual.
-  std::vector<real> f(dim_);
-  double fnorm_sq = 0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    f[i] = g[i] - z[i];
-    fnorm_sq += static_cast<double>(f[i]) * static_cast<double>(f[i]);
-  }
-
-  // Safeguard: a residual that grew after a mixed step means the last
-  // extrapolation left the basin the window was built in. Drop the
-  // history and let this iteration be a plain (unmixed) restart.
-  if (has_prev_ && !df_.empty() && fnorm_sq > prev_fnorm_sq_) {
-    reset();
-  }
-
-  if (has_prev_) {
-    std::vector<real> df(dim_), dg(dim_);
-    for (std::size_t i = 0; i < dim_; ++i) {
-      df[i] = f[i] - prev_f_[i];
-      dg[i] = g[i] - prev_g_[i];
-    }
-    df_.push_back(std::move(df));
-    dg_.push_back(std::move(dg));
-    if (df_.size() > static_cast<std::size_t>(m_)) {
-      df_.erase(df_.begin());
-      dg_.erase(dg_.begin());
-    }
-  }
-  prev_f_ = f;
-  prev_g_.assign(g, g + dim_);
-  prev_fnorm_sq_ = fnorm_sq;
-  has_prev_ = true;
-  if (df_.empty()) return;  // first iterate: plain g
-
-  // Type-II AA: γ = argmin ‖f − Σ γ_j Δf_j‖ via the (tiny) m×m normal
-  // equations, lightly ridged against a collinear window.
-  const auto m = static_cast<int>(df_.size());
-  std::vector<double> nmat(static_cast<std::size_t>(m) * m);
-  std::vector<double> rhs(static_cast<std::size_t>(m));
-  const auto ddot = [&](const std::vector<real>& a, const std::vector<real>& b) {
-    double s = 0;
-    for (std::size_t i = 0; i < dim_; ++i) {
-      s += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    }
-    return s;
-  };
-  double diag_max = 0;
-  for (int i = 0; i < m; ++i) {
-    for (int j = i; j < m; ++j) {
-      const double v = ddot(df_[static_cast<std::size_t>(i)],
-                            df_[static_cast<std::size_t>(j)]);
-      nmat[static_cast<std::size_t>(i) * m + j] = v;
-      nmat[static_cast<std::size_t>(j) * m + i] = v;
-      if (i == j) diag_max = std::max(diag_max, v);
-    }
-    rhs[static_cast<std::size_t>(i)] = ddot(df_[static_cast<std::size_t>(i)], f);
-  }
-  if (!(diag_max > 0) || !std::isfinite(diag_max)) {
-    reset();
-    return;
-  }
-  const double ridge = 1e-10 * diag_max;
-  for (int i = 0; i < m; ++i) nmat[static_cast<std::size_t>(i) * m + i] += ridge;
-
-  // In-place Gaussian elimination with partial pivoting (m ≤ the window).
-  std::vector<int> piv(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) piv[static_cast<std::size_t>(i)] = i;
-  for (int c = 0; c < m; ++c) {
-    int best = c;
-    for (int r = c + 1; r < m; ++r) {
-      if (std::fabs(nmat[static_cast<std::size_t>(r) * m + c]) >
-          std::fabs(nmat[static_cast<std::size_t>(best) * m + c])) {
-        best = r;
-      }
-    }
-    if (best != c) {
-      for (int j = 0; j < m; ++j) {
-        std::swap(nmat[static_cast<std::size_t>(c) * m + j],
-                  nmat[static_cast<std::size_t>(best) * m + j]);
-      }
-      std::swap(rhs[static_cast<std::size_t>(c)],
-                rhs[static_cast<std::size_t>(best)]);
-    }
-    const double p = nmat[static_cast<std::size_t>(c) * m + c];
-    if (!(std::fabs(p) > 0) || !std::isfinite(p)) {
-      reset();
-      return;
-    }
-    for (int r = c + 1; r < m; ++r) {
-      const double factor = nmat[static_cast<std::size_t>(r) * m + c] / p;
-      for (int j = c; j < m; ++j) {
-        nmat[static_cast<std::size_t>(r) * m + j] -=
-            factor * nmat[static_cast<std::size_t>(c) * m + j];
-      }
-      rhs[static_cast<std::size_t>(r)] -= factor * rhs[static_cast<std::size_t>(c)];
-    }
-  }
-  std::vector<double> gamma(static_cast<std::size_t>(m));
-  for (int i = m - 1; i >= 0; --i) {
-    double s = rhs[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j < m; ++j) {
-      s -= nmat[static_cast<std::size_t>(i) * m + j] * gamma[static_cast<std::size_t>(j)];
-    }
-    gamma[static_cast<std::size_t>(i)] = s / nmat[static_cast<std::size_t>(i) * m + i];
-  }
-  double gamma_l1 = 0;
-  for (double gv : gamma) {
-    if (!std::isfinite(gv)) {
-      reset();
-      return;
-    }
-    gamma_l1 += std::fabs(gv);
-  }
-  // Safeguard: a near-collinear window produces huge mixing weights and a
-  // wild extrapolation. Scale the step back into a trust region instead.
-  constexpr double kGammaCap = 4.0;
-  if (gamma_l1 > kGammaCap) {
-    const double shrink = kGammaCap / gamma_l1;
-    for (double& gv : gamma) gv *= shrink;
-  }
-
-  // z_next = g − Σ γ_j Δg_j (overwrites g; history already recorded the
-  // unmixed image, as type II requires).
-  for (int j = 0; j < m; ++j) {
-    const real gj = static_cast<real>(gamma[static_cast<std::size_t>(j)]);
-    const auto& dg = dg_[static_cast<std::size_t>(j)];
-    for (std::size_t i = 0; i < dim_; ++i) g[i] -= gj * dg[i];
-  }
 }
 
 }  // namespace alsmf

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "als/options.hpp"
 
@@ -54,45 +53,8 @@ class RowSolver {
 /// subspace_block).
 std::unique_ptr<RowSolver> make_row_solver(const AlsOptions& options);
 
-/// The exact strategy alone — what a null UpdateArgs::row_solver defaults
-/// to (launch_update's pre-strategy compatibility path).
-std::unique_ptr<RowSolver> make_exact_row_solver(LinearSolverKind linear);
-
 /// Flop model of one subspace sweep over all ⌈k/d⌉ blocks (per-block d×d
 /// Cholesky plus the cross-block right-hand-side corrections).
 double subspace_solve_flops(int k, int d);
-
-/// Anderson acceleration (type II) of an outer fixed point z ← G(z) of
-/// length `dim`; AlsSolver mixes the Y-only map (z is the flattened Y,
-/// solver.cpp). Keeps a window of the last m residual/iterate differences
-/// and replaces G(z) with the least-squares combination that minimizes the
-/// linearized residual. Whether that saves outer iterations depends on the
-/// problem: docs/solvers.md tabulates where it pays and where it does not.
-class AndersonMixer {
- public:
-  /// `dim` is the iterate length; `m` the history window (≥ 1).
-  AndersonMixer(std::size_t dim, int m);
-
-  /// Given the pre-update iterate z and its fixed-point image g = G(z)
-  /// (both length dim), overwrites g with the mixed next iterate. The
-  /// first call (empty history) and any numerically degenerate window
-  /// fall back to plain g.
-  void mix(const real* z, real* g);
-
-  /// Drops the history (after a trajectory discontinuity, e.g. resume).
-  void reset();
-
-  /// History pairs currently in the window (0 before the second mix call).
-  int depth() const { return static_cast<int>(df_.size()); }
-
- private:
-  std::size_t dim_;
-  int m_;
-  std::vector<real> prev_g_, prev_f_;
-  double prev_fnorm_sq_ = 0;
-  bool has_prev_ = false;
-  std::vector<std::vector<real>> df_;  ///< residual differences Δf_j
-  std::vector<std::vector<real>> dg_;  ///< image differences Δg_j
-};
 
 }  // namespace alsmf

@@ -33,7 +33,7 @@ std::uint64_t trajectory_hash(const AlsOptions& options, const Csr& train) {
   mix(options.weighted_regularization ? 1 : 0);
   mix(static_cast<std::uint64_t>(options.solver));
   // Strategy knobs fold in only when they change the trajectory, so every
-  // pre-strategy checkpoint (implicitly cholesky, no mixing) keeps its hash.
+  // pre-strategy checkpoint (implicitly cholesky) keeps its hash.
   if (options.row_solver != RowSolverKind::kCholesky) {
     mix(static_cast<std::uint64_t>(options.row_solver));
     // 3 was the inner-iteration count of the removed truncated-CG
@@ -41,9 +41,6 @@ std::uint64_t trajectory_hash(const AlsOptions& options, const Csr& train) {
     // keeps subspace checkpoints loadable.
     mix(3);
     mix(static_cast<std::uint64_t>(options.effective_subspace_block()));
-  }
-  if (options.anderson_m > 0) {
-    mix(static_cast<std::uint64_t>(options.anderson_m));
   }
   if (options.storage != StoragePrecision::kFp32) {
     mix(static_cast<std::uint64_t>(options.storage));
@@ -65,12 +62,6 @@ AlsSolver::AlsSolver(const Csr& train, const AlsOptions& options,
   validate(options_);
   row_solver_ = make_row_solver(options_);
   init_factors(train.rows(), train.cols(), options_, x_, y_, rng_);
-  if (options_.anderson_m > 0) {
-    // The mixer works on the Y-only fixed point (see run_iteration).
-    const auto dim = static_cast<std::size_t>(train.cols()) *
-                     static_cast<std::size_t>(options_.k);
-    anderson_ = std::make_unique<AndersonMixer>(dim, options_.anderson_m);
-  }
 }
 
 void AlsSolver::launch_with_retry(const char* name, const UpdateArgs& args) {
@@ -79,7 +70,7 @@ void AlsSolver::launch_with_retry(const char* name, const UpdateArgs& args) {
       launch_update(device_, name, args, options_.num_groups,
                     options_.group_size, options_.functional);
       return;
-    } catch (const Error&) {
+    } catch (const devsim::TransientLaunchError&) {
       if (attempt >= options_.guard_kernel_retries) throw;
       // Half-updates only read `src` and overwrite `dst`, so relaunching
       // after a partial failure is idempotent.
@@ -147,7 +138,6 @@ void AlsSolver::update_x() {
   args.tile_rows = options_.tile_rows;
   args.k = options_.k;
   args.variant = variant_;
-  args.solver = options_.solver;
   args.row_solver = row_solver_.get();
   args.products = product_table_for(y_, options_.functional, products_);
   launch_with_retry("update_x", args);
@@ -165,7 +155,6 @@ void AlsSolver::update_y() {
   args.tile_rows = options_.tile_rows;
   args.k = options_.k;
   args.variant = variant_;
-  args.solver = options_.solver;
   args.row_solver = row_solver_.get();
   args.products = product_table_for(x_, options_.functional, products_);
   launch_with_retry("update_y", args);
@@ -178,55 +167,11 @@ void AlsSolver::set_factors(const Matrix& x, const Matrix& y) {
   ALSMF_CHECK(y.rows() == y_.rows() && y.cols() == y_.cols());
   x_ = x;
   y_ = y;
-  x_fresh_ = false;
-  if (anderson_) anderson_->reset();
 }
 
 void AlsSolver::run_iteration() {
-  // Anderson mixing views one iteration as the fixed-point map Y ← G(Y):
-  // X is the intermediate state (recomputed exactly from Y at the top of
-  // every iteration), so the map has an isolated fixed point — mixing the
-  // stacked (X, Y) instead would extrapolate along the X→XS, Y→YS⁻ᵀ
-  // invariance manifold and stall. Needs the functional factors;
-  // modeled-only runs skip the mixer.
-  const bool mixing = anderson_ && options_.functional;
-  std::vector<real> z;
-  if (mixing) {
-    z.assign(y_.data(), y_.data() + y_.size());
-  }
-  if (!x_fresh_) update_x();
-  x_fresh_ = false;
+  update_x();
   update_y();
-  if (mixing) {
-    // Candidate acceptance (Walker-style safeguarded AA): the extrapolated
-    // Y replaces the plain image only when the one-step-lookahead
-    // objective J(X(Y_c), Y_c) beats the plain iterate's J(X_t, Y_g) — a
-    // wild extrapolation is discarded instead of entering (and then
-    // having to be recovered from) the trajectory. The lookahead X solve
-    // is not wasted: on acceptance it IS the next iteration's X
-    // half-update, which is then skipped. The mixer's history stays valid
-    // either way — it records (z, G(z)) map samples, not accepted
-    // iterates.
-    const std::vector<real> unmixed(y_.data(), y_.data() + y_.size());
-    std::vector<real> g = unmixed;
-    anderson_->mix(z.data(), g.data());
-    if (anderson_->depth() > 0) {
-      // Both branches get the same lookahead X half-update so the
-      // comparison is fair (the extra half-sweep of minimization would
-      // otherwise always flatter the candidate). The winner's X solve is
-      // reused as the next iteration's X half-update.
-      update_x();  // X(Y_g)
-      const double plain_loss = train_loss();
-      const Matrix x_plain = x_;
-      std::copy(g.begin(), g.end(), y_.data());
-      update_x();  // X(Y_c)
-      if (train_loss() >= plain_loss) {
-        std::copy(unmixed.begin(), unmixed.end(), y_.data());
-        x_ = x_plain;
-      }
-      x_fresh_ = true;
-    }
-  }
   ++iterations_done_;
 }
 
@@ -310,7 +255,6 @@ RunReport AlsSolver::run(const RunConfig& config) {
       ev.variant = variant_.name();
       ev.device = device_.profile().name;
       ev.row_solver = to_string(options_.row_solver);
-      ev.anderson_depth = anderson_depth();
       ev.loss = loss;
       ev.rmse = rmse;
       ev.modeled_seconds = cur.modeled - prev.modeled;
@@ -386,9 +330,6 @@ void AlsSolver::restore_checkpoint(const robust::TrainingCheckpoint& ckpt) {
   y_ = ckpt.y;
   iterations_done_ = static_cast<int>(ckpt.iteration);
   rng_.set_state(ckpt.rng_state);
-  x_fresh_ = false;
-  // The mixer's history refers to the pre-restore trajectory.
-  if (anderson_) anderson_->reset();
 }
 
 void AlsSolver::resume_from_checkpoint(const std::string& path) {

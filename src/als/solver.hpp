@@ -27,13 +27,12 @@ namespace alsmf {
 
 /// Hash of everything that determines the training trajectory: k, λ, seed,
 /// regularization mode, linear solver, row-solver strategy (plus its
-/// subspace_block knob when non-exact), Anderson window,
-/// factor storage precision (when non-fp32), and the training matrix
-/// shape/nnz. Stored in checkpoints; resume refuses a
-/// checkpoint whose hash differs. Launch shape and guard knobs are
-/// excluded — all variants produce bitwise-identical factors, so their
-/// checkpoints are interchangeable. Default-solver runs hash identically
-/// to pre-strategy builds, keeping their checkpoints loadable.
+/// subspace_block knob when non-exact), factor storage precision (when
+/// non-fp32), and the training matrix shape/nnz. Stored in checkpoints;
+/// resume refuses a checkpoint whose hash differs. Launch shape and guard
+/// knobs are excluded — all variants produce bitwise-identical factors, so
+/// their checkpoints are interchangeable. Default-solver runs hash
+/// identically to pre-strategy builds, keeping their checkpoints loadable.
 std::uint64_t trajectory_hash(const AlsOptions& options, const Csr& train);
 
 /// Periodic crash-safe checkpointing for run_checkpointed.
@@ -137,10 +136,6 @@ class AlsSolver {
   /// The S3 strategy this solver runs (selected by options().row_solver).
   const RowSolver& row_solver() const { return *row_solver_; }
 
-  /// Anderson history pairs currently in the window (0 when mixing is off
-  /// or the history was just reset). Surfaced per iteration in events.
-  int anderson_depth() const { return anderson_ ? anderson_->depth() : 0; }
-
   /// trajectory_hash(options(), train) for this solver's run.
   std::uint64_t options_hash() const;
 
@@ -172,7 +167,9 @@ class AlsSolver {
   StepBreakdown step_breakdown() const;
 
  private:
-  /// Launches with retry-on-injected-fault per options_.guard_kernel_retries.
+  /// Launches, relaunching after a transient launch fault
+  /// (devsim::TransientLaunchError) up to options_.guard_kernel_retries
+  /// times; any other launch error escapes at once.
   void launch_with_retry(const char* name, const UpdateArgs& args);
   /// Post-update divergence sweep of `dst` (rows of `r`, solved over `src`).
   void guard_factor(Matrix& dst, const Csr& r, const Matrix& src);
@@ -191,10 +188,6 @@ class AlsSolver {
   /// Products of the running half-update's src, rebuilt by each one into
   /// the same storage (product_table_for).
   ProductTable products_;
-  std::unique_ptr<AndersonMixer> anderson_;  ///< null when anderson_m == 0
-  /// x_ already holds argmin for the current y_ (an accepted Anderson
-  /// candidate's lookahead solve) — the next X half-update is skipped.
-  bool x_fresh_ = false;
   int iterations_done_ = 0;
   robust::RobustnessReport report_;
 };

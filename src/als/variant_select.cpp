@@ -223,10 +223,7 @@ TunedConfig select_config(const Csr& train, const AlsOptions& options,
     devsim::Device device(profile);
     AlsSolver solver(train, apply_tuning(opts, c), c.variant, device);
     c.modeled_seconds = options.iterations * solver.run(one).modeled_seconds;
-    // Per-worker counter sums merge in chunk-claim order, so equal
-    // configurations differ in the last bits from run to run; rank 2 must
-    // win by more than that for the pick to be the same on every run.
-    if (i == 0 || c.modeled_seconds < best.modeled_seconds * (1 - 1e-12)) {
+    if (i == 0 || c.modeled_seconds < best.modeled_seconds) {
       best = c;
     }
   }

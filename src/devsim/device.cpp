@@ -24,7 +24,8 @@ LaunchResult Device::launch(const std::string& name,
                             const LaunchConfig& config, const Kernel& kernel) {
   ALSMF_CHECK(config.group_size > 0);
   if (robust::fault_at(robust::FaultSite::kKernelLaunch)) {
-    throw Error("injected fault: kernel launch '" + name + "' failed");
+    throw TransientLaunchError("injected fault: kernel launch '" + name +
+                               "' failed");
   }
   Timer wall;
   const double trace_start_s = trace_ ? trace_->now_s() : 0;

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "devsim/check/report.hpp"
 #include "devsim/context.hpp"
 #include "devsim/cost_model.hpp"
@@ -51,6 +52,15 @@ struct KernelStats {
   std::size_t launches = 0;
 };
 
+/// A transient launch failure: Device::launch throws it when the injected
+/// robust::FaultSite::kKernelLaunch fault fires, before any group runs.
+/// Trainers relaunch on this type only; any other launch error (a scratch-pad
+/// overflow, a bad shape) would fail the same way again, so it escapes.
+class TransientLaunchError : public Error {
+ public:
+  using Error::Error;
+};
+
 /// A Device runs one launch at a time: launches on one Device must not
 /// overlap (its statistics and its scratch-pad arenas are unsynchronized).
 /// Different Devices may launch concurrently.
@@ -64,7 +74,8 @@ class Device {
 
   /// Launches `kernel` once per work-group; blocks until done. Counters are
   /// merged, priced with the cost model, and accumulated per section under
-  /// "name/section" (plain "name" for the unnamed section).
+  /// "name/section" (plain "name" for the unnamed section). Throws
+  /// TransientLaunchError when an injected launch fault fires.
   LaunchResult launch(const std::string& name, const LaunchConfig& config,
                       const Kernel& kernel);
 

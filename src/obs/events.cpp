@@ -18,7 +18,6 @@ std::string IterationEvent::to_json() const {
   w.field("variant", variant);
   w.field("device", device);
   w.field("row_solver", row_solver);
-  w.field("anderson_depth", anderson_depth);
   w.field("loss", loss);    // non-finite -> null
   w.field("rmse", rmse);
   w.field("modeled_seconds", modeled_seconds);

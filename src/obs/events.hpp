@@ -19,9 +19,6 @@ struct IterationEvent {
   std::string variant;     ///< AlsVariant::name() in use
   std::string device;      ///< device profile name
   std::string row_solver = "cholesky";  ///< S3 strategy (to_string(RowSolverKind))
-  /// Anderson history pairs in the window after this iteration (0 = mixing
-  /// off or history just reset).
-  int anderson_depth = 0;
 
   /// Training objective after the iteration; NaN (exported as null) for
   /// accounting-only runs that never materialize factors.

@@ -32,8 +32,7 @@ struct OneRow {
 };
 
 devsim::LaunchCounters run(const AlsVariant& v,
-                           const devsim::DeviceProfile& p, int ws,
-                           LinearSolverKind solver = LinearSolverKind::kCholesky) {
+                           const devsim::DeviceProfile& p, int ws) {
   OneRow fixture;
   devsim::Device device(p);
   UpdateArgs args;
@@ -43,7 +42,6 @@ devsim::LaunchCounters run(const AlsVariant& v,
   args.lambda = 0.1f;
   args.k = kK;
   args.variant = v;
-  args.solver = solver;
   return launch_update(device, "u", args, 1, ws, false).counters;
 }
 

@@ -318,6 +318,52 @@ TEST(ElasticMultiDevice, AllDevicesLostThrows) {
   EXPECT_THROW(solver.run(), Error);
 }
 
+TEST(ElasticMultiDevice, KernelLaunchFaultIsRelaunchedOnItsDevice) {
+  // An injected launch fault is transient: the shard relaunches on its own
+  // card within the guard budget, no device is lost, and the factors are
+  // the fault-free run's.
+  const Csr train = testing::random_csr(70, 45, 0.15, 201);
+  MultiDeviceAls clean(train, opts(), AlsVariant::batch_local_reg(), gpus(4));
+  clean.run();
+
+  FaultPlan plan;
+  plan.exact[static_cast<int>(FaultSite::kKernelLaunch)] = {0};
+  ScopedFaultInjector scoped(plan);
+  MultiDeviceAls faulted(train, opts(), AlsVariant::batch_local_reg(),
+                         gpus(4));
+  faulted.run();
+  EXPECT_EQ(scoped.injector().triggered(FaultSite::kKernelLaunch), 1u);
+  const auto& report = faulted.elastic_report();
+  EXPECT_EQ(report.kernel_relaunches, 1u);
+  EXPECT_EQ(report.device_failures, 0u);
+  EXPECT_EQ(report.launch_failures, 0u);
+  EXPECT_EQ(report.devices_alive, 4);
+  EXPECT_EQ(faulted.x(), clean.x());
+  EXPECT_EQ(faulted.y(), clean.y());
+}
+
+TEST(ElasticMultiDevice, LaunchConfigurationErrorLosesNoDevice) {
+  // A launch that does not fit (k = 100 subspace rows overflow the K20c's
+  // 48 KiB scratch-pad) would fail on every card: it escapes with its own
+  // message instead of being retried and blamed on the devices.
+  const Csr train = testing::random_csr(300, 200, 0.1, 17);
+  AlsOptions o = opts();
+  o.k = 100;
+  o.iterations = 1;
+  o.row_solver = RowSolverKind::kSubspace;
+  o.functional = false;
+  MultiDeviceAls solver(train, o, AlsVariant::from_mask(1), gpus(4));
+  try {
+    solver.run();
+    ADD_FAILURE() << "the launch fitted the scratch-pad";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'solve_scratch'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(solver.elastic_report().device_failures, 0u);
+  EXPECT_EQ(solver.elastic_report().kernel_relaunches, 0u);
+}
+
 TEST(ElasticMultiDevice, CheckpointResumeAcrossDeviceCounts) {
   const Csr train = testing::random_csr(60, 40, 0.15, 208);
   const auto ref = reference_als(train, opts());

@@ -44,7 +44,8 @@ Matrix device_update_x(const Fixture& f, const AlsVariant& variant,
   args.lambda = f.options.lambda;
   args.k = f.options.k;
   args.variant = variant;
-  args.solver = f.options.solver;
+  const auto row_solver = make_row_solver(f.options);
+  args.row_solver = row_solver.get();
   launch_update(device, "update_x", args, groups, group_size, true);
   return x;
 }

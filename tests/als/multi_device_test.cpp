@@ -117,9 +117,9 @@ TEST(MultiDevice, EmptyProfileListRejected) {
 }
 
 TEST(MultiDevice, OptionsValidatedLikeAlsSolver) {
-  // Invalid values throw as in AlsSolver; Anderson mixing and narrow
-  // storage, which this trainer does not run but trajectory_hash covers,
-  // are refused by name instead of being ignored.
+  // Invalid values throw as in AlsSolver; narrow storage, which this
+  // trainer does not run but trajectory_hash covers, is refused by name
+  // instead of being ignored.
   const Csr train = testing::random_csr(10, 10, 0.3, 165);
   const auto expect_rejected = [&](const AlsOptions& o,
                                    const std::string& field) {
@@ -134,9 +134,6 @@ TEST(MultiDevice, OptionsValidatedLikeAlsSolver) {
   AlsOptions bad = opts();
   bad.lambda = -1.0f;
   expect_rejected(bad, "lambda");
-  bad = opts();
-  bad.anderson_m = 2;
-  expect_rejected(bad, "anderson_m");
   bad = opts();
   bad.storage = StoragePrecision::kFp16;
   expect_rejected(bad, "storage");

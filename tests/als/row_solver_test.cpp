@@ -1,7 +1,6 @@
 // Property tests for the pluggable S3 row-solver strategies
 // (docs/solvers.md): subspace d = k exactness and sweep convergence, the
-// exact strategy's bitwise delegation, parse round-trips, and Anderson
-// mixing's outer-iteration savings.
+// exact strategy's bitwise delegation, and parse round-trips.
 #include "als/row_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -110,9 +109,6 @@ TEST(RowSolverValidate, ActionableErrorsForStrategyKnobs) {
   o.subspace_block = o.k + 1;
   EXPECT_THROW(validate(o), Error);
   o = AlsOptions{};
-  o.anderson_m = -1;
-  EXPECT_THROW(validate(o), Error);
-  o = AlsOptions{};
   EXPECT_NO_THROW(validate(o));
 }
 
@@ -123,15 +119,17 @@ TEST(RowSolver, FactoryBuildsSelectedKind) {
     EXPECT_EQ(solver->kind(), kind);
     EXPECT_EQ(solver->uses_warm_start(), kind != RowSolverKind::kCholesky);
   }
-  EXPECT_EQ(make_exact_row_solver(LinearSolverKind::kLu)->kind(),
-            RowSolverKind::kCholesky);
+  AlsOptions lu = strategy_options(RowSolverKind::kCholesky);
+  lu.solver = LinearSolverKind::kLu;
+  EXPECT_EQ(make_row_solver(lu)->kind(), RowSolverKind::kCholesky);
 }
 
 TEST(RowSolver, CholeskyStrategyBitwiseMatchesDirectSolve) {
   // The exact strategy must delegate: byte-for-byte the pre-strategy path.
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const System s = random_system(9, seed);
-    const auto strategy = make_exact_row_solver(LinearSolverKind::kCholesky);
+    const auto strategy =
+        make_row_solver(strategy_options(RowSolverKind::kCholesky));
     const std::vector<real> via_strategy = solve_copy(*strategy, s);
     auto smat = s.smat;
     auto svec = s.svec;
@@ -145,7 +143,8 @@ TEST(RowSolver, SubspaceFullBlockEqualsExactSolve) {
   // d = k collapses the sweep to one exact solve of the whole system.
   for (std::uint64_t seed : {11u, 12u}) {
     const System s = random_system(7, seed);
-    const auto exact = make_exact_row_solver(LinearSolverKind::kCholesky);
+    const auto exact =
+        make_row_solver(strategy_options(RowSolverKind::kCholesky));
     AlsOptions o = strategy_options(RowSolverKind::kSubspace);
     o.k = s.k;
     o.subspace_block = s.k;
@@ -174,7 +173,8 @@ TEST(RowSolver, SubspaceSweepsConvergeToExactSolution) {
     EXPECT_LE(cur, prev * (1 + 1e-4)) << "sweep " << sweep;
     prev = cur;
   }
-  const auto exact = make_exact_row_solver(LinearSolverKind::kCholesky);
+  const auto exact =
+      make_row_solver(strategy_options(RowSolverKind::kCholesky));
   const std::vector<real> want = solve_copy(*exact, s);
   for (int f = 0; f < s.k; ++f) {
     EXPECT_NEAR(x[static_cast<std::size_t>(f)],
@@ -194,89 +194,6 @@ TEST(RowSolver, FlopModelsOrderSensibly) {
   const double sub = make_row_solver(o)->modeled_flops(k);
   EXPECT_LT(sub, chol);
   EXPECT_NEAR(subspace_solve_flops(k, k), cholesky_solve_flops(k), 1e-9);
-}
-
-TEST(Anderson, MixerAcceleratesLinearFixedPoint) {
-  // Scalar-free sanity on a contraction z ← Az + b (A = 0.9·rotation-ish):
-  // mixing must reach the fixed point in far fewer steps.
-  const std::size_t n = 4;
-  const real a[n][n] = {{0.9f, 0.02f, 0, 0},
-                        {0, 0.85f, 0.03f, 0},
-                        {0, 0, 0.8f, 0.04f},
-                        {0.01f, 0, 0, 0.75f}};
-  const real b[n] = {1, 2, 3, 4};
-  auto apply = [&](const std::vector<real>& z) {
-    std::vector<real> g(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      real s = b[i];
-      for (std::size_t j = 0; j < n; ++j) s += a[i][j] * z[j];
-      g[i] = s;
-    }
-    return g;
-  };
-  auto iterate = [&](AndersonMixer* mixer) {
-    std::vector<real> z(n, real{0});
-    for (int it = 1; it <= 200; ++it) {
-      std::vector<real> g = apply(z);
-      if (mixer) mixer->mix(z.data(), g.data());
-      real delta = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        delta = std::max(delta, std::fabs(g[i] - z[i]));
-      }
-      z = std::move(g);
-      if (delta < 1e-4f) return it;
-    }
-    return 200;
-  };
-  const int plain = iterate(nullptr);
-  AndersonMixer mixer(n, 3);
-  const int mixed = iterate(&mixer);
-  EXPECT_GE(plain, 40);  // the plain contraction is genuinely slow
-  EXPECT_LE(mixed, plain / 2) << "plain " << plain << " mixed " << mixed;
-}
-
-TEST(Anderson, CutsOuterIterationsToPinnedRmse) {
-  // The headline property: on an overparameterized planted problem (k above
-  // the planted rank, light regularization — the slow linear-tail regime
-  // where mixing pays off), Anderson reaches the plain trajectory's pinned
-  // RMSE in >= 25% fewer outer iterations.
-  SyntheticSpec spec;
-  spec.users = 120;
-  spec.items = 90;
-  spec.nnz = 4000;
-  spec.seed = 31;
-  spec.planted_rank = 4;
-  spec.noise = 0.0;
-  spec.integer_ratings = false;
-  const Csr train = generate_synthetic_csr(spec);
-
-  AlsOptions o;
-  o.k = 12;
-  o.lambda = 0.001f;
-  o.num_groups = 256;
-  const int pin_iters = 48;
-
-  devsim::Device plain_dev(devsim::k20c());
-  AlsSolver plain(train, o, AlsVariant::batch_local_reg(), plain_dev);
-  for (int i = 0; i < pin_iters; ++i) plain.run_iteration();
-  const double target = plain.train_rmse();
-
-  AlsOptions ao = o;
-  ao.anderson_m = 3;
-  devsim::Device mixed_dev(devsim::k20c());
-  AlsSolver mixed(train, ao, AlsVariant::batch_local_reg(), mixed_dev);
-  int used = 0;
-  bool mixed_steps = false;
-  while (used < pin_iters && mixed.train_rmse() > target) {
-    mixed.run_iteration();
-    mixed_steps = mixed_steps || mixed.anderson_depth() > 0;
-    ++used;
-  }
-  ASSERT_LE(mixed.train_rmse(), target);
-  EXPECT_LE(used, (pin_iters * 3) / 4)
-      << "anderson needed " << used << " of " << pin_iters
-      << " plain iterations to rmse " << target;
-  EXPECT_TRUE(mixed_steps);
 }
 
 TEST(SolverStrategies, IterativeStrategiesReachCholeskyQuality) {

@@ -27,13 +27,18 @@ const Csr& netflix() {
 }
 
 TEST(Autotune, BeatsOrMatchesDefaultConfiguration) {
-  // The default: paper config (empirical best variant at ws=32).
+  // The default: paper config (empirical best variant at ws=32). Modeled
+  // seconds are byte-stable (Device::launch sums fixed blocks in index
+  // order), so a second call makes the same pick with the same bits.
   for (const char* dev : {"gpu", "cpu", "mic"}) {
     const auto profile = devsim::profile_by_name(dev);
     const TunedConfig best = select_config(netflix(), opts(), profile);
     const double default_time =
         score_variants(netflix(), opts(), profile).front().modeled_seconds;
     EXPECT_LE(best.modeled_seconds, default_time * (1 + 1e-9)) << dev;
+    const TunedConfig again = select_config(netflix(), opts(), profile);
+    EXPECT_EQ(again.to_string(), best.to_string()) << dev;
+    EXPECT_EQ(again.modeled_seconds, best.modeled_seconds) << dev;
   }
 }
 

@@ -17,7 +17,6 @@ IterationEvent sample_event() {
   e.variant = "fused+tiled";
   e.device = "gpu";
   e.row_solver = "subspace";
-  e.anderson_depth = 2;
   e.loss = 12.5;
   e.rmse = 0.75;
   e.modeled_seconds = 0.5;
@@ -41,7 +40,7 @@ IterationEvent sample_event() {
 TEST(Events, IterationEventJsonGolden) {
   const std::string expected =
       "{\"type\":\"iteration\",\"iteration\":3,\"variant\":\"fused+tiled\","
-      "\"device\":\"gpu\",\"row_solver\":\"subspace\",\"anderson_depth\":2,"
+      "\"device\":\"gpu\",\"row_solver\":\"subspace\","
       "\"loss\":12.5,\"rmse\":0.75,"
       "\"modeled_seconds\":0.5,\"wall_seconds\":0.25,"
       "\"steps\":{\"modeled_s\":{\"s1\":0.1,\"s2\":0.2,\"s3\":0.3},"

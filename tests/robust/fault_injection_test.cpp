@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "als/solver.hpp"
@@ -236,6 +237,28 @@ TEST(FaultInjection, KernelLaunchFaultIsRetriedTransparently) {
   EXPECT_EQ(faulty.robustness_report().kernel_relaunches, 2u);
   EXPECT_EQ(faulty.x(), clean.x());
   EXPECT_EQ(faulty.y(), clean.y());
+}
+
+TEST(FaultInjection, LaunchConfigurationErrorIsNotRetried) {
+  // Only an injected launch fault is transient. A launch that does not fit
+  // (k = 100 subspace rows overflow the K20c's 48 KiB scratch-pad) fails
+  // the same way every time, so it escapes at once with its own message.
+  const Csr train = testing::random_csr(300, 200, 0.1, 17);
+  AlsOptions o;
+  o.k = 100;
+  o.iterations = 1;
+  o.row_solver = RowSolverKind::kSubspace;
+  o.functional = false;
+  devsim::Device device(devsim::k20c());
+  AlsSolver solver(train, o, AlsVariant::from_mask(1), device);  // batch+reg
+  try {
+    solver.run({});
+    ADD_FAILURE() << "the launch fitted the scratch-pad";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'solve_scratch'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(solver.robustness_report().kernel_relaunches, 0u);
 }
 
 TEST(FaultInjection, BackToBackKernelFaultsExhaustRetriesAndThrow) {
