@@ -1,11 +1,10 @@
 // Extension: convergence comparison of the three solver families the
-// paper's related work discusses — ALS (ours), thread-batched SGD
-// (DeviceSgd on a modeled K20c), and CCD++ — on a MovieLens-shaped replica
-// (functional execution, host wall-clock).
+// paper's related work discusses — ALS (ours, AlsSolver), thread-batched
+// SGD (DeviceSgd), both on a modeled K20c, and CCD++ — on a
+// MovieLens-shaped replica (functional execution, host wall-clock).
 #include <cstdio>
 
-#include "als/metrics.hpp"
-#include "als/reference.hpp"
+#include "als/solver.hpp"
 #include "baselines/ccd.hpp"
 #include "baselines/sgd_device.hpp"
 #include "bench_util.hpp"
@@ -36,15 +35,13 @@ int main(int argc, char** argv) {
   AlsOptions als_opts;
   als_opts.k = k;
   als_opts.lambda = 0.1f;
-  Matrix x, y;
-  init_factors(train.rows(), train.cols(), als_opts, x, y);
-  const Csr train_t = transpose(train);
+  devsim::Device als_device(devsim::k20c());
   std::vector<double> als_rmse;
   Timer als_timer;
+  AlsSolver als(train, als_opts, AlsVariant::batch_local_reg(), als_device);
   for (int it = 0; it < rounds; ++it) {
-    reference_half_update(train, y, x, als_opts);
-    reference_half_update(train_t, x, y, als_opts);
-    als_rmse.push_back(rmse(train, x, y));
+    als.run_iteration();
+    als_rmse.push_back(als.train_rmse());
   }
   const double als_s = als_timer.seconds();
 

@@ -488,7 +488,8 @@ void run_elastic_faults(obs::RegressReport& report, const Csr& train,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = alsmf::bench::parse_bench_args(argc, argv);
+  const auto args =
+      alsmf::bench::parse_bench_args(argc, argv, {"compare", "tolerance"});
   const std::string out_path =
       args.json_out.empty() ? "BENCH_regress.json" : args.json_out;
 

@@ -389,7 +389,11 @@ void print_row(const char* mode, const RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto bench_args = alsmf::bench::parse_bench_args(argc, argv);
+  const auto bench_args = alsmf::bench::parse_bench_args(
+      argc, argv,
+      {"users", "items", "k", "requests", "clients", "batch", "cache",
+       "foldin-pct", "zipf", "topn", "index", "nprobe", "clusters",
+       "overload", "overload-factor", "max-queue", "deadline-us"});
   const CliArgs& args = bench_args.cli;
   Config config;
   if (bench_args.smoke) {

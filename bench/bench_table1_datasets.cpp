@@ -8,8 +8,7 @@
 int main(int argc, char** argv) {
   using namespace alsmf;
   using namespace alsmf::bench;
-  (void)argc;
-  (void)argv;
+  parse_bench_args(argc, argv);  // takes no flag of its own
 
   print_header("Table I — datasets and their synthetic replicas",
                "Table I (m, n, training Nz per dataset)");

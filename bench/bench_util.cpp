@@ -2,21 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 
 #include "als/solver.hpp"
 
 namespace alsmf::bench {
 
-BenchArgs parse_bench_args(int argc, const char* const* argv) {
+BenchArgs parse_bench_args(int argc, const char* const* argv,
+                           const std::vector<std::string_view>& own_flags) {
   BenchArgs args{CliArgs(argc, argv), 1.0, false, 42, ""};
-  args.scale = args.cli.get_double("scale", 1.0);
-  // Legacy convention: a bare numeric positional is the scale multiplier.
+  const std::string name =
+      std::filesystem::path(args.cli.program()).filename().string();
+  std::vector<std::string_view> accepted = {"scale", "smoke", "seed",
+                                            "json-out"};
+  accepted.insert(accepted.end(), own_flags.begin(), own_flags.end());
+  if (const auto unknown = args.cli.unknown_flag(accepted)) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", name.c_str(),
+                 unknown->c_str());
+    std::exit(2);
+  }
   if (!args.cli.positional().empty()) {
-    try {
-      args.scale = std::stod(args.cli.positional().front());
-    } catch (const std::exception&) {
-      // Non-numeric positional: leave the flag value in place.
-    }
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n", name.c_str(),
+                 args.cli.positional().front().c_str());
+    std::exit(2);
+  }
+  args.scale = args.cli.get_double("scale", 1.0);
+  // The replicas are clamped to full size, so a scale of 0 or less would
+  // build the full Table I datasets (tens of GB).
+  if (!(args.scale > 0.0)) {
+    std::fprintf(stderr, "%s: --scale must be > 0, got '%s'\n", name.c_str(),
+                 args.cli.get_or("scale", "").c_str());
+    std::exit(2);
   }
   args.smoke = args.cli.has_flag("smoke");
   if (args.smoke) args.scale *= 8.0;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "als/options.hpp"
@@ -23,13 +24,12 @@
 namespace alsmf::bench {
 
 /// Flags shared by every bench main:
-///   --scale S     extra downscale multiplier (>1 shrinks the replicas);
-///                 a bare numeric positional argument is accepted too (the
-///                 legacy `bench_figN 8` calling convention)
+///   --scale S     extra downscale multiplier, > 0 (>1 shrinks the replicas)
 ///   --smoke       quick CI-sized run (multiplies the scale by 8)
 ///   --seed N      RNG seed for benches that randomize
 ///   --json-out F  machine-readable output path for benches that export one
-/// Bench-specific flags stay available through `cli`.
+/// A bench's own flags are named to parse_bench_args and read through
+/// `cli`.
 struct BenchArgs {
   CliArgs cli;
   double scale = 1.0;  ///< effective scale (smoke multiplier applied)
@@ -38,7 +38,11 @@ struct BenchArgs {
   std::string json_out;
 };
 
-BenchArgs parse_bench_args(int argc, const char* const* argv);
+/// Parses the shared flags. Any flag that is neither shared nor in
+/// `own_flags`, and any positional argument, is named on stderr and exits 2
+/// before the bench does any work.
+BenchArgs parse_bench_args(int argc, const char* const* argv,
+                           const std::vector<std::string_view>& own_flags = {});
 
 struct BenchDataset {
   std::string abbr;

@@ -29,6 +29,8 @@
 //   alsmf_cli recommend --model m.bin --user U [--n 10] [--ratings r.txt]
 //   alsmf_cli evaluate  --model m.bin --test t.txt
 //   alsmf_cli tune      --ratings r.txt [--iters 8]
+//                       (k × λ grid search; AlsSolver trains every point on
+//                       a modeled K20c)
 //   alsmf_cli rank      --model m.bin --train r.txt --test t.txt [--n 10]
 //   alsmf_cli serve     --model m.bin [--batch 64] [--cache 4096]
 //                       [--lambda 0.1] [--max-queue 0] [--deadline-us 0]
@@ -61,11 +63,11 @@
 // format.
 #include <charconv>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
 #include <cstdlib>
 
@@ -122,7 +124,7 @@ std::uint64_t parse_unsigned(std::string_view text, const std::string& source,
 // that `cmd` does not read; each command lists the flags it reads and
 // checks them before doing any work (the caller exits 2).
 bool accepts_only(const CliArgs& args, const char* cmd,
-                  std::initializer_list<const char*> flags) {
+                  const std::vector<std::string_view>& flags) {
   const auto unknown = args.unknown_flag(flags);
   if (unknown) std::cerr << cmd << ": unknown flag --" << *unknown << "\n";
   return !unknown;

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "als/kernels.hpp"
-#include "als/reference.hpp"
+#include "als/init_factors.hpp"
 #include "common/error.hpp"
 #include "linalg/vecops.hpp"
 #include "sparse/convert.hpp"

@@ -5,7 +5,7 @@
 #include <limits>
 #include <string>
 
-#include "als/reference.hpp"
+#include "als/init_factors.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
@@ -227,10 +227,10 @@ MultiDeviceAls::ShardOutcome MultiDeviceAls::launch_shard(const Shard& shard,
       out.seconds = result.time.total_s() * fault.slowdown;
       break;
     } catch (const devsim::TransientLaunchError&) {
-      // Retry per the guard budget; exhausting it counts as losing the
-      // device. Any other launch error fails the same way on every device,
-      // so it escapes with its own message.
-      if (attempt >= options_.guard_kernel_retries) {
+      // Retry up to kKernelLaunchRetries times; exhausting them counts as
+      // losing the device. Any other launch error fails the same way on
+      // every device, so it escapes with its own message.
+      if (attempt >= kKernelLaunchRetries) {
         out.lost = true;
         return out;
       }
@@ -493,6 +493,10 @@ void MultiDeviceAls::half_update(Axis axis, const Matrix& src, Matrix& dst,
   modeled_seconds_ += run_elastic(shards, src, dst, name, axis);
   modeled_seconds_ += all_gather(axis, src, dst, name);
   products_ = nullptr;
+  // The gathered factor, failover recomputes included, gets the divergence
+  // sweep AlsSolver runs after each half-update.
+  guard_factor(dst, axis == Axis::kRows ? train_ : train_t_, src, options_,
+               guards_);
   metrics_update();
 }
 

@@ -25,7 +25,10 @@
 //  * permanent device loss triggers elastic repartition: the dead device's
 //    row/column ranges are re-balanced across survivors and their factor
 //    rows recomputed from the last all-gathered opposing factor, so the run
-//    continues and converges.
+//    continues and converges;
+//  * after each half-update's all-gather, the factor gets the divergence
+//    sweep AlsSolver runs (guard_factor), so a NaN/Inf row from a faulted
+//    solve is re-solved before the next half-update reads it.
 //
 // Zero-fault runs produce bitwise-identical factors to the synchronous
 // trainer (row solves are partition-independent), and so do recovered runs
@@ -165,6 +168,11 @@ class MultiDeviceAls {
     return health_[device];
   }
   const ElasticReport& elastic_report() const { return report_; }
+  /// Tally of divergence-guard activity so far, as AlsSolver keeps it.
+  /// Relaunched launches are counted in elastic_report().kernel_relaunches.
+  const robust::RobustnessReport& robustness_report() const {
+    return guards_;
+  }
 
   /// Attaches a metrics registry: elastic_* recovery series plus the
   /// devices' devsim_* series (null detaches).
@@ -263,6 +271,7 @@ class MultiDeviceAls {
   double comm_seconds_ = 0;
   double last_median_shard_seconds_ = 0;
   ElasticReport report_;
+  robust::RobustnessReport guards_;
   obs::Registry* metrics_ = nullptr;
 };
 

@@ -162,11 +162,6 @@ void validate(const AlsOptions& options) {
                 "; expected 0 (auto) or a block size in [1, k = " +
                 std::to_string(options.k) + "]");
   }
-  if (options.guard_kernel_retries < 0) {
-    throw Error("invalid guard_kernel_retries = " +
-                std::to_string(options.guard_kernel_retries) +
-                "; expected >= 0");
-  }
 }
 
 }  // namespace alsmf

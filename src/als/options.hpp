@@ -127,13 +127,6 @@ struct AlsOptions : FactorOptionsBase {
   /// (cost-model sweeps).
   bool functional = true;
 
-  // Robustness knob. It does not change the training trajectory when no
-  // fault fires, so it is excluded from the checkpoint trajectory hash.
-  // Every functional half-update is also swept for NaN/Inf rows, which are
-  // repaired with robust::GuardOptions' defaults (robust/guards.hpp).
-  /// Times a failed kernel launch is retried before the error propagates.
-  int guard_kernel_retries = 1;
-
   /// The effective subspace block size (resolves the 0 = auto default).
   int effective_subspace_block() const;
 };

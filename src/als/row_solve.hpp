@@ -9,8 +9,8 @@
 // row's ratings in storage order, each product rounded once and added once.
 // The explicit system starts from zero and sums in one of two forms:
 //  * The direct form, accumulate_gram, multiplies y_i[a]·y_i[b] as it adds
-//    it. Fold-in, serving, the guards, the reference and the cuMF-like
-//    baseline use it.
+//    it. Fold-in, serving, the guards, the cuMF-like baseline and the
+//    tests' serial oracle use it.
 //  * The table form sums a ProductTable, where each source row's products
 //    were multiplied once per half-update, in register sweeps over whole
 //    vectors of each gathered table row that carry the rhs too

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "als/metrics.hpp"
-#include "als/reference.hpp"
+#include "als/init_factors.hpp"
 #include "als/row_solve.hpp"
 #include "common/error.hpp"
 #include "common/halfprec.hpp"
@@ -64,24 +64,10 @@ AlsSolver::AlsSolver(const Csr& train, const AlsOptions& options,
   init_factors(train.rows(), train.cols(), options_, x_, y_, rng_);
 }
 
-void AlsSolver::launch_with_retry(const char* name, const UpdateArgs& args) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      launch_update(device_, name, args, options_.num_groups,
-                    options_.group_size, options_.functional);
-      return;
-    } catch (const devsim::TransientLaunchError&) {
-      if (attempt >= options_.guard_kernel_retries) throw;
-      // Half-updates only read `src` and overwrite `dst`, so relaunching
-      // after a partial failure is idempotent.
-      ++report_.kernel_relaunches;
-    }
-  }
-}
-
-void AlsSolver::guard_factor(Matrix& dst, const Csr& r, const Matrix& src) {
-  if (!options_.functional) return;
-  const int k = options_.k;
+void guard_factor(Matrix& dst, const Csr& r, const Matrix& src,
+                  const AlsOptions& options, robust::RobustnessReport& report) {
+  if (!options.functional) return;
+  const int k = options.k;
   const auto kk = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
   std::vector<real> smat(kk), smat_saved(kk), rhs_saved(static_cast<std::size_t>(k));
   const auto resolve = [&](index_t row, real lambda_scale, real* out) {
@@ -90,21 +76,36 @@ void AlsSolver::guard_factor(Matrix& dst, const Csr& r, const Matrix& src) {
       return true;
     }
     const real base =
-        options_.weighted_regularization
-            ? options_.lambda * static_cast<real>(r.row_nnz(row))
-            : options_.lambda;
+        options.weighted_regularization
+            ? options.lambda * static_cast<real>(r.row_nnz(row))
+            : options.lambda;
     assemble_normal_equations(r.row_cols(row), r.row_values(row), src,
                               base * lambda_scale, k, smat.data(), out);
     std::copy(smat.begin(), smat.end(), smat_saved.begin());
     std::copy(out, out + k, rhs_saved.begin());
     if (cholesky_solve(smat.data(), k, out)) return true;
     // Non-SPD even after redamping: fall back to LU on the saved system.
-    ++report_.solver_fallbacks;
+    ++report.solver_fallbacks;
     std::copy(smat_saved.begin(), smat_saved.end(), smat.begin());
     std::copy(rhs_saved.begin(), rhs_saved.end(), out);
     return lu_solve(smat.data(), k, out);
   };
-  robust::guard_rows(dst, resolve, robust::GuardOptions{}, report_);
+  robust::guard_rows(dst, resolve, report);
+}
+
+void AlsSolver::launch_with_retry(const char* name, const UpdateArgs& args) {
+  for (int attempt = 0;; ++attempt) {
+    try {
+      launch_update(device_, name, args, options_.num_groups,
+                    options_.group_size, options_.functional);
+      return;
+    } catch (const devsim::TransientLaunchError&) {
+      if (attempt >= kKernelLaunchRetries) throw;
+      // Half-updates only read `src` and overwrite `dst`, so relaunching
+      // after a partial failure is idempotent.
+      ++report_.kernel_relaunches;
+    }
+  }
 }
 
 void AlsSolver::quantize_factor(Matrix& m) {
@@ -141,7 +142,7 @@ void AlsSolver::update_x() {
   args.row_solver = row_solver_.get();
   args.products = product_table_for(y_, options_.functional, products_);
   launch_with_retry("update_x", args);
-  guard_factor(x_, train_, y_);
+  guard_factor(x_, train_, y_, options_, report_);
   quantize_factor(x_);
 }
 
@@ -158,7 +159,7 @@ void AlsSolver::update_y() {
   args.row_solver = row_solver_.get();
   args.products = product_table_for(x_, options_.functional, products_);
   launch_with_retry("update_y", args);
-  guard_factor(y_, train_t_, x_);
+  guard_factor(y_, train_t_, x_, options_, report_);
   quantize_factor(y_);
 }
 

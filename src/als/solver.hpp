@@ -29,11 +29,25 @@ namespace alsmf {
 /// regularization mode, linear solver, row-solver strategy (plus its
 /// subspace_block knob when non-exact), factor storage precision (when
 /// non-fp32), and the training matrix shape/nnz. Stored in checkpoints;
-/// resume refuses a checkpoint whose hash differs. Launch shape and guard
-/// knobs are excluded — all variants produce bitwise-identical factors, so
-/// their checkpoints are interchangeable. Default-solver runs hash
-/// identically to pre-strategy builds, keeping their checkpoints loadable.
+/// resume refuses a checkpoint whose hash differs. The launch shape is
+/// excluded — all variants produce bitwise-identical factors, so their
+/// checkpoints are interchangeable. Default-solver runs hash identically to
+/// pre-strategy builds, keeping their checkpoints loadable.
 std::uint64_t trajectory_hash(const AlsOptions& options, const Csr& train);
+
+/// Times AlsSolver and MultiDeviceAls relaunch a half-update after a
+/// transient launch fault (devsim::TransientLaunchError) before the error
+/// propagates (AlsSolver) or the device counts as lost (MultiDeviceAls).
+/// Relaunching is safe: a half-update only reads `src` and overwrites `dst`.
+constexpr int kKernelLaunchRetries = 1;
+
+/// The divergence guard both trainers run after every functional
+/// half-update: sweeps `dst` (the rows of `r`, solved over `src`) for
+/// NaN/Inf rows and re-solves each one directly from its normal equations
+/// (robust::guard_rows: escalating λ, Cholesky then LU, zeroed as a last
+/// resort), tallying into `report`. Does nothing unless options.functional.
+void guard_factor(Matrix& dst, const Csr& r, const Matrix& src,
+                  const AlsOptions& options, robust::RobustnessReport& report);
 
 /// Periodic crash-safe checkpointing for run_checkpointed.
 struct CheckpointConfig {
@@ -168,11 +182,9 @@ class AlsSolver {
 
  private:
   /// Launches, relaunching after a transient launch fault
-  /// (devsim::TransientLaunchError) up to options_.guard_kernel_retries
-  /// times; any other launch error escapes at once.
+  /// (devsim::TransientLaunchError) up to kKernelLaunchRetries times; any
+  /// other launch error escapes at once.
   void launch_with_retry(const char* name, const UpdateArgs& args);
-  /// Post-update divergence sweep of `dst` (rows of `r`, solved over `src`).
-  void guard_factor(Matrix& dst, const Csr& r, const Matrix& src);
   /// Rounds a freshly solved factor matrix through the configured storage
   /// format (no-op for fp32 storage or modeled-only runs).
   void quantize_factor(Matrix& m);

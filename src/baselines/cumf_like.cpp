@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "als/reference.hpp"
+#include "als/init_factors.hpp"
 #include "als/row_solve.hpp"
 #include "common/error.hpp"
 #include "linalg/cholesky.hpp"

@@ -85,7 +85,7 @@ bool CliArgs::has_flag(const std::string& name) const {
 }
 
 std::optional<std::string> CliArgs::unknown_flag(
-    std::initializer_list<const char*> accepted) const {
+    const std::vector<std::string_view>& accepted) const {
   for (const auto& [name, value] : options_) {
     if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
       return name;

@@ -3,10 +3,10 @@
 // Supports `--name value`, `--name=value`, and boolean `--flag` forms.
 #pragma once
 
-#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace alsmf {
@@ -29,7 +29,7 @@ class CliArgs {
   /// The first given --name (in name order) that is not in `accepted`, or
   /// nullopt when every given flag is accepted.
   std::optional<std::string> unknown_flag(
-      std::initializer_list<const char*> accepted) const;
+      const std::vector<std::string_view>& accepted) const;
 
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

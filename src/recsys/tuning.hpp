@@ -1,11 +1,11 @@
 // Hyperparameter search: grid search over (k, lambda) with a validation
-// split, using the reference solver (functional, host-parallel).
+// split. Each grid point trains an AlsSolver on its own modeled K20c, so
+// every RMSE it reports comes from the priced device kernels.
 #pragma once
 
 #include <vector>
 
 #include "als/options.hpp"
-#include "common/thread_pool.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
@@ -32,9 +32,9 @@ struct TuningResult {
   std::vector<TuningCandidate> all;  ///< every grid point, sorted by RMSE
 };
 
-/// Splits `ratings` into train/validation, trains every grid point, and
+/// Splits `ratings` into train/validation, trains every grid point (the
+/// points are the items of one parallel_for on the global pool), and
 /// returns the candidates ordered by validation RMSE (best first).
-TuningResult grid_search(const Coo& ratings, const TuningGrid& grid,
-                         ThreadPool* pool = nullptr);
+TuningResult grid_search(const Coo& ratings, const TuningGrid& grid);
 
 }  // namespace alsmf

@@ -49,7 +49,7 @@ std::vector<index_t> nonfinite_rows(const Matrix& factor) {
 }
 
 std::size_t guard_rows(Matrix& factor, const RowResolver& resolve,
-                       const GuardOptions& options, RobustnessReport& report) {
+                       RobustnessReport& report) {
   ++report.guard_sweeps;
   const auto bad = nonfinite_rows(factor);
   if (bad.empty()) return 0;
@@ -60,8 +60,8 @@ std::size_t guard_rows(Matrix& factor, const RowResolver& resolve,
   for (index_t r : bad) {
     bool recovered = false;
     real scale = real{1};
-    for (int attempt = 0; attempt < options.max_attempts && !recovered;
-         ++attempt, scale *= options.lambda_escalation) {
+    for (int attempt = 0; attempt < kGuardMaxAttempts && !recovered;
+         ++attempt, scale *= kGuardLambdaEscalation) {
       if (resolve(r, scale, trial.data()) && row_finite(trial.data(), k)) {
         auto row = factor.row(r);
         for (index_t c = 0; c < k; ++c) row[static_cast<std::size_t>(c)] = trial[static_cast<std::size_t>(c)];

@@ -17,14 +17,12 @@
 
 namespace alsmf::robust {
 
-struct GuardOptions {
-  /// Regularization multiplier per retry: attempt n (0-based) re-solves
-  /// with lambda scaled by escalation^n — the first attempt repeats the
-  /// solve at the original damping, recovering transient failures exactly.
-  real lambda_escalation = 10.0f;
-  /// Re-solve attempts per bad row before zeroing it.
-  int max_attempts = 3;
-};
+/// Regularization multiplier per retry: attempt n (0-based) re-solves with
+/// lambda scaled by kGuardLambdaEscalation^n — the first attempt repeats the
+/// solve at the original damping, recovering transient failures exactly.
+constexpr real kGuardLambdaEscalation = 10.0f;
+/// Re-solve attempts per bad row before zeroing it.
+constexpr int kGuardMaxAttempts = 3;
 
 struct RobustnessReport {
   std::uint64_t guard_sweeps = 0;     ///< factor blocks swept
@@ -50,8 +48,9 @@ using RowResolver =
 std::vector<index_t> nonfinite_rows(const Matrix& factor);
 
 /// Sweeps `factor` and repairs non-finite rows via `resolve`, escalating
-/// regularization per GuardOptions. Returns the number of rows touched.
+/// regularization by kGuardLambdaEscalation over at most kGuardMaxAttempts
+/// attempts per row. Returns the number of rows touched.
 std::size_t guard_rows(Matrix& factor, const RowResolver& resolve,
-                       const GuardOptions& options, RobustnessReport& report);
+                       RobustnessReport& report);
 
 }  // namespace alsmf::robust

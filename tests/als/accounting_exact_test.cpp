@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "als/kernels.hpp"
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "linalg/cholesky.hpp"
 #include "sparse/convert.hpp"
 

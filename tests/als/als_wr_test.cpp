@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "als/metrics.hpp"
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "als/solver.hpp"
 #include "data/split.hpp"
 #include "data/synthetic.hpp"

@@ -9,7 +9,7 @@
 #include "als/metrics.hpp"
 #include "als/multi_device.hpp"
 #include "data/datasets.hpp"
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "obs/registry.hpp"
 #include "robust/fault_injection.hpp"
 #include "testing/util.hpp"

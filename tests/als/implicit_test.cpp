@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "als/solver.hpp"
 #include "data/split.hpp"
 #include "data/synthetic.hpp"

@@ -6,7 +6,7 @@
 #include <tuple>
 #include <vector>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "sparse/convert.hpp"
 #include "testing/util.hpp"
 

@@ -4,8 +4,10 @@
 
 #include <string>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "data/datasets.hpp"
+#include "robust/fault_injection.hpp"
+#include "robust/guards.hpp"
 #include "testing/util.hpp"
 
 namespace alsmf {
@@ -196,6 +198,42 @@ TEST(MultiDevice, BalanceZeroRows) {
   const auto parts = balance_by_nnz(empty, 4);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0], (std::pair<index_t, index_t>{0, 0}));
+}
+
+TEST(MultiDevice, SolveFaultsAreRepairedLikeAlsSolver) {
+  // Both trainers sweep every functional half-update for NaN/Inf rows. An
+  // injected solve fault poisons one row; the guard re-solves it at the
+  // original damping, so an exact (cholesky) run ends bitwise equal to the
+  // fault-free AlsSolver, and a subspace run, which the guard re-solves
+  // exactly instead of iteratively, ends with every row finite.
+  const Csr train = testing::random_csr(40, 30, 0.2, 166);
+  AlsOptions o = opts();
+  o.k = 4;
+  devsim::Device device(devsim::k20c());
+  AlsSolver clean(train, o, AlsVariant::batch_local_reg(), device);
+  clean.run({});
+
+  for (RowSolverKind kind :
+       {RowSolverKind::kCholesky, RowSolverKind::kSubspace}) {
+    o.row_solver = kind;
+    robust::FaultPlan plan;
+    plan.seed = testing::fault_seed();
+    plan.probability[static_cast<int>(robust::FaultSite::kSolve)] = 0.25;
+    robust::ScopedFaultInjector scoped(plan);
+    MultiDeviceAls solver(
+        train, o, AlsVariant::batch_local_reg(),
+        std::vector<devsim::DeviceProfile>(3, devsim::k20c()));
+    solver.run();
+    const auto fired = scoped.injector().triggered(robust::FaultSite::kSolve);
+    ASSERT_GT(fired, 0u) << to_string(kind);
+    EXPECT_TRUE(robust::nonfinite_rows(solver.x()).empty()) << to_string(kind);
+    EXPECT_TRUE(robust::nonfinite_rows(solver.y()).empty()) << to_string(kind);
+    if (kind == RowSolverKind::kCholesky) {
+      EXPECT_EQ(solver.robustness_report().nonfinite_rows, fired);
+      EXPECT_EQ(solver.x(), clean.x());
+      EXPECT_EQ(solver.y(), clean.y());
+    }
+  }
 }
 
 TEST(MultiDevice, SkewedTrainingStillMatchesReference) {

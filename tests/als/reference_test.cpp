@@ -1,4 +1,4 @@
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 
 #include <gtest/gtest.h>
 

@@ -4,7 +4,7 @@
 // narrow runs from fp32 checkpoints, and the quality cost stays small.
 #include <gtest/gtest.h>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "als/solver.hpp"
 #include "common/halfprec.hpp"
 #include "testing/util.hpp"

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "als/solver.hpp"
 #include "data/datasets.hpp"
 #include "testing/util.hpp"

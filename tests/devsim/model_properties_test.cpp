@@ -6,7 +6,7 @@
 #include <tuple>
 
 #include "als/kernels.hpp"
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "als/solver.hpp"
 #include "data/synthetic.hpp"
 #include "sparse/convert.hpp"

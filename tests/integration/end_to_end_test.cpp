@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "als/metrics.hpp"
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "als/solver.hpp"
 #include "als/variant_select.hpp"
 #include "data/datasets.hpp"

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "common/error.hpp"
 #include "testing/util.hpp"
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "als/metrics.hpp"
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "data/split.hpp"
 #include "data/synthetic.hpp"
 #include "sparse/convert.hpp"

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "data/synthetic.hpp"
 #include "sparse/convert.hpp"
 #include "testing/util.hpp"

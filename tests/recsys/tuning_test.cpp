@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "als/metrics.hpp"
+#include "data/split.hpp"
 #include "data/synthetic.hpp"
+#include "sparse/convert.hpp"
+#include "testing/reference.hpp"
 #include "testing/util.hpp"
 
 namespace alsmf {
@@ -58,10 +62,41 @@ TEST(Tuning, DeterministicInSeed) {
   grid.ks = {3};
   grid.lambdas = {0.1f};
   grid.iterations = 3;
-  ThreadPool pool(1);
-  const TuningResult a = grid_search(planted(), grid, &pool);
-  const TuningResult b = grid_search(planted(), grid, &pool);
+  const TuningResult a = grid_search(planted(), grid);
+  const TuningResult b = grid_search(planted(), grid);
   EXPECT_DOUBLE_EQ(a.best.validation_rmse, b.best.validation_rmse);
+}
+
+TEST(Tuning, GridPointsMatchSerialOracle) {
+  // Every grid point trains on the device kernels, whose factors equal the
+  // serial oracle's bit for bit, so each RMSE must equal the oracle's.
+  const Coo ratings = planted();
+  for (bool weighted : {false, true}) {
+    TuningGrid grid;
+    grid.ks = {2, 5};
+    grid.lambdas = {0.05f, 0.3f};
+    grid.iterations = 3;
+    grid.weighted_regularization = weighted;
+    const TuningResult r = grid_search(ratings, grid);
+    ASSERT_EQ(r.all.size(), 4u);
+
+    const auto [train_coo, valid] =
+        split_holdout(ratings, grid.validation_fraction, grid.seed);
+    const Csr train = coo_to_csr(train_coo);
+    for (const TuningCandidate& c : r.all) {
+      AlsOptions o;
+      o.k = c.k;
+      o.lambda = c.lambda;
+      o.iterations = grid.iterations;
+      o.weighted_regularization = weighted;
+      o.seed = grid.seed;
+      const auto ref = reference_als(train, o);
+      EXPECT_EQ(c.validation_rmse, rmse(valid, ref.x, ref.y))
+          << "k=" << c.k << " lambda=" << c.lambda << " weighted=" << weighted;
+      EXPECT_EQ(c.train_rmse, rmse(train, ref.x, ref.y))
+          << "k=" << c.k << " lambda=" << c.lambda << " weighted=" << weighted;
+    }
+  }
 }
 
 TEST(Tuning, InvalidGridRejected) {

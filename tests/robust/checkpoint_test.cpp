@@ -179,14 +179,11 @@ TEST(Checkpoint, TrajectoryHashCoversTrajectoryOnly) {
   const AlsOptions base = train_opts();
   const auto h = trajectory_hash(base, train);
 
-  // Launch shape and guard knobs do not change the factors, so checkpoints
-  // stay interchangeable across them.
+  // The launch shape does not change the factors, so checkpoints stay
+  // interchangeable across it.
   AlsOptions groups = base;
   groups.num_groups = 256;
   EXPECT_EQ(trajectory_hash(groups, train), h);
-  AlsOptions guards = base;
-  guards.guard_kernel_retries = 0;
-  EXPECT_EQ(trajectory_hash(guards, train), h);
 
   AlsOptions lambda = base;
   lambda.lambda = 0.2f;
@@ -277,8 +274,7 @@ TEST(Checkpoint, ResumeLatestSkipsCorruptNewest) {
 
 TEST(Checkpoint, KillMidIterationResumeMatchesUninterruptedRun) {
   const Csr train = testing::random_csr(40, 30, 0.2, 19);
-  AlsOptions o = train_opts();
-  o.guard_kernel_retries = 0;  // the injected crash must propagate
+  const AlsOptions o = train_opts();
   const auto dir = fresh_dir("ckpt_kill_resume");
   const CheckpointConfig config{dir.string(), /*every=*/1, /*keep=*/0};
   RunConfig ckpt_run;
@@ -288,11 +284,13 @@ TEST(Checkpoint, KillMidIterationResumeMatchesUninterruptedRun) {
   AlsSolver uninterrupted(train, o, AlsVariant::batch_local_reg(), ref_device);
   uninterrupted.run({});
 
-  // Each iteration is two launches; occurrence 6 is iteration 4's update_x.
-  // The "crash" kills the run after checkpoints for iterations 1-3 landed.
+  // Each iteration is two launches; occurrence 6 is iteration 4's update_x
+  // and 7 its one relaunch, so the fault outlasts kKernelLaunchRetries. The
+  // "crash" kills the run after checkpoints for iterations 1-3 landed.
+  ASSERT_EQ(kKernelLaunchRetries, 1);
   {
     robust::FaultPlan plan;
-    plan.exact[static_cast<int>(robust::FaultSite::kKernelLaunch)] = {6};
+    plan.exact[static_cast<int>(robust::FaultSite::kKernelLaunch)] = {6, 7};
     robust::ScopedFaultInjector scoped(plan);
     devsim::Device device(devsim::k20c());
     AlsSolver crashed(train, o, AlsVariant::batch_local_reg(), device);

@@ -221,7 +221,7 @@ TEST(FaultInjection, KernelLaunchFaultIsRetriedTransparently) {
   o.iterations = 2;
   o.seed = 3;
   o.num_groups = 64;
-  ASSERT_EQ(o.guard_kernel_retries, 1);
+  ASSERT_EQ(kKernelLaunchRetries, 1);
 
   devsim::Device clean_device(devsim::k20c());
   AlsSolver clean(train, o, AlsVariant::batch_local_reg(), clean_device);

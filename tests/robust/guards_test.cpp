@@ -38,7 +38,7 @@ TEST(Guards, RepairsBadRowsViaResolver) {
         for (int c = 0; c < 3; ++c) out[c] = static_cast<real>(row) + 0.5f;
         return true;
       },
-      GuardOptions{}, report);
+      report);
   EXPECT_EQ(touched, 2u);
   EXPECT_EQ(report.guard_sweeps, 1u);
   EXPECT_EQ(report.nonfinite_rows, 2u);
@@ -57,23 +57,22 @@ TEST(Guards, EscalatesLambdaPerAttempt) {
   m(0, 1) = 0;
   std::vector<real> scales;
   RobustnessReport report;
-  GuardOptions options;
-  options.lambda_escalation = 10.0f;
-  options.max_attempts = 3;
+  const real heaviest = kGuardLambdaEscalation * kGuardLambdaEscalation;
+  ASSERT_EQ(kGuardMaxAttempts, 3);
   guard_rows(
       m,
       [&](index_t, real lambda_scale, real* out) {
         scales.push_back(lambda_scale);
-        if (lambda_scale < 100.0f) return false;  // only heavy damping works
+        if (lambda_scale < heaviest) return false;  // only heavy damping works
         out[0] = out[1] = 1.0f;
         return true;
       },
-      options, report);
+      report);
   // Attempt 0 repeats the original damping; escalation starts at attempt 1.
   ASSERT_EQ(scales.size(), 3u);
   EXPECT_FLOAT_EQ(scales[0], 1.0f);
-  EXPECT_FLOAT_EQ(scales[1], 10.0f);
-  EXPECT_FLOAT_EQ(scales[2], 100.0f);
+  EXPECT_FLOAT_EQ(scales[1], kGuardLambdaEscalation);
+  EXPECT_FLOAT_EQ(scales[2], heaviest);
   EXPECT_EQ(report.redamped_rows, 1u);
   EXPECT_FLOAT_EQ(m(0, 0), 1.0f);
 }
@@ -83,7 +82,7 @@ TEST(Guards, ZeroesUnrecoverableRows) {
   m(1, 1) = kNaN;
   RobustnessReport report;
   guard_rows(
-      m, [](index_t, real, real*) { return false; }, GuardOptions{}, report);
+      m, [](index_t, real, real*) { return false; }, report);
   EXPECT_EQ(report.zeroed_rows, 1u);
   EXPECT_EQ(report.redamped_rows, 0u);
   for (int c = 0; c < 3; ++c) EXPECT_EQ(m(1, c), 0.0f);
@@ -101,7 +100,7 @@ TEST(Guards, ResolverReturningNonfiniteStillCountsAsFailure) {
         out[0] = out[1] = kNaN;
         return true;
       },
-      GuardOptions{}, report);
+      report);
   EXPECT_EQ(report.zeroed_rows, 1u);
   EXPECT_TRUE(nonfinite_rows(m).empty());
 }

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "common/error.hpp"
 #include "robust/fault_injection.hpp"
 #include "serve/batcher.hpp"

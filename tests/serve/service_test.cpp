@@ -5,7 +5,7 @@
 #include <future>
 #include <vector>
 
-#include "als/reference.hpp"
+#include "testing/reference.hpp"
 #include "common/error.hpp"
 #include "recsys/batch_score.hpp"
 #include "recsys/fold_in.hpp"
